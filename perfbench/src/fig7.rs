@@ -80,7 +80,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
             break;
         }
     }
-    out.timed = Some((timed, Instant::now()));
+    out.timed.push((timed, Instant::now()));
     out.passes = passes.len() as u64;
     let Some(first) = passes.first() else { return out };
     let matrix_s: f64 = shards
@@ -92,9 +92,9 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let first: Vec<&RunRecord> = first.iter().map(|r| &r.0).collect();
 
     for records in &passes {
-        for ((rec, t0, t1), (base, &(w, kind))) in records.iter().zip(first.iter().zip(&points)) {
+        for ((rec, ..), (base, &(w, kind))) in records.iter().zip(first.iter().zip(&points)) {
             out.attempted += 1;
-            out.points.push((rec.manifest.wall_seconds * 1e3, *t0, *t1));
+            out.points.push(rec.manifest.wall_seconds * 1e3);
             let good = rec.is_ok()
                 && rec.result.instructions >= window.measure
                 && rec.result == base.result;

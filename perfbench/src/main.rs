@@ -122,13 +122,21 @@ fn main() -> ExitCode {
     };
     let _ = std::fs::remove_dir_all(&workdir);
 
-    // Host times in seconds at the reference speed (see `pace`).
+    // Host times in seconds at the reference speed (see `pace`). Point
+    // times take the whole timed phase's slowdown: the few samples around
+    // one point are too noisy to correct it alone.
     let slow_setup = out.setup.map_or(1.0, |(a, b)| pace.slowdown(a, b));
-    let slow_timed = out.timed.map_or(1.0, |(a, b)| pace.slowdown(a, b));
+    let slow_timed = if out.timed.is_empty() {
+        1.0
+    } else {
+        let weighted: f64 =
+            out.timed.iter().map(|&(a, b)| pace.slowdown(a, b) * (b - a).as_secs_f64()).sum();
+        weighted / out.timed_s().max(1e-9)
+    };
     let timed = Timed {
         setup_s: out.setup_s() / slow_setup,
         timed_s: out.timed_s() / slow_timed,
-        point_ms: out.points.iter().map(|&(ms, a, b)| ms / pace.slowdown(a, b)).collect(),
+        point_ms: out.points.iter().map(|ms| ms / slow_timed).collect(),
     };
     let sim_mips = out.delivered_instr as f64 / timed.timed_s.max(1e-9) / 1e6;
     let ok_frac = 1.0 - out.failed as f64 / out.attempted.max(1) as f64;
@@ -161,7 +169,7 @@ fn main() -> ExitCode {
             sim_mips,
             quantile(&timed.point_ms, 0.5),
             quantile(&timed.point_ms, 0.9),
-            peak_rss_mib(),
+            out.peak_rss_mib.unwrap_or_else(peak_rss_mib),
             ok_frac,
             out.sdclp_speedup,
         ];

@@ -78,14 +78,16 @@ pub const PER_LAYER: [(&str, &str); 53] = [
 pub struct Outcome {
     /// When set-up started and ended.
     pub setup: Option<(Instant, Instant)>,
-    /// When the timed phase started and ended.
-    pub timed: Option<(Instant, Instant)>,
+    /// Start and end of each interval of the timed phase.
+    pub timed: Vec<(Instant, Instant)>,
     /// Simulated instructions delivered in the timed phase (warmup +
     /// measure window of every delivered point).
     pub delivered_instr: u64,
-    /// Host milliseconds per timed point, with the interval it ran in.
-    pub points: Vec<(f64, Instant, Instant)>,
+    /// Host milliseconds per timed point.
+    pub points: Vec<f64>,
     pub passes: u64,
+    /// Memory high-water, when the workload reads it before the run ends.
+    pub peak_rss_mib: Option<f64>,
     pub attempted: u64,
     /// Points that failed, timed out, or failed an output check.
     pub failed: u64,
@@ -104,7 +106,7 @@ impl Outcome {
 
     /// Host seconds of the timed phase, as measured.
     pub fn timed_s(&self) -> f64 {
-        self.timed.map_or(0.0, |(a, b)| (b - a).as_secs_f64())
+        self.timed.iter().map(|(a, b)| (*b - *a).as_secs_f64()).sum()
     }
 
     pub fn set(&mut self, name: &'static str, value: f64) {

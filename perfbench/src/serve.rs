@@ -9,14 +9,15 @@ use crate::common::{
     build_inputs, component_probe, matrix_probe, record_traces, replay_layer_metrics, state_probe,
     telemetry_probe, Ctx,
 };
-use crate::report::{fingerprint, median, shuffle, simulated_counts, Outcome};
+use crate::report::{fingerprint, median, peak_rss_mib, shuffle, simulated_counts, Outcome};
 use gpgraph::{GraphInput, SuiteScale};
 use gpkernels::Kernel;
 use gpworkloads::{cross, norm_name, MatrixOptions, Runner, SystemKind, Workload};
 use simcore::{geomean, Window};
 use simserve::proto::{PointSpec, RecordMsg, Response, SubmitSpec};
-use simserve::{Client, Daemon, DaemonConfig};
+use simserve::{Client, Daemon, DaemonConfig, DaemonHandle};
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -59,8 +60,8 @@ impl Plan {
 /// What one client connection observed.
 #[derive(Default)]
 struct Session {
-    /// Each record with its latency and the interval it was awaited in.
-    records: Vec<(RecordMsg, f64, Instant, Instant)>,
+    /// Each record with its latency.
+    records: Vec<(RecordMsg, f64)>,
     first_record_ms: Vec<f64>,
     missing: u64,
 }
@@ -85,7 +86,6 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let workloads: Vec<Workload> =
         Kernel::ALL.iter().flat_map(|&k| GRAPHS.map(|g| Workload::new(k, g))).collect();
     let distinct = cross(&workloads, &SystemKind::FIG7);
-    let requests = client_requests(&distinct, ctx.seed);
     let state_dir = ctx.workdir.join("state");
 
     let setup = Instant::now();
@@ -110,80 +110,86 @@ pub fn run(ctx: &Ctx) -> Outcome {
         "fork priming failed".to_string()
     });
 
-    let socket = ctx.workdir.join("serve.sock");
-    let cfg = DaemonConfig {
-        socket: socket.clone(),
-        workers: WORKERS,
-        state_dir: Some(state_dir),
-        warmup_fork: true,
-        snapshot_every: plan.snapshot_every,
-        ..DaemonConfig::default()
-    };
-    let daemon = match ctx.spans.run("simserve", "Daemon::start", 0, || Daemon::start(cfg)) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("perfbench: daemon did not start: {e}");
-            out.attempted = 1;
-            out.failed = 1;
-            return out;
-        }
-    };
-    let client = Client::new(&socket);
-    // Warm the daemon's graphs and traces with a design no timed point uses.
-    let warm: Vec<_> = workloads.iter().map(|&w| (w, SystemKind::Expert)).collect();
-    let warmed = ctx.spans.run("simserve", "Client::submit", 0, || {
-        client.submit(plan.spec(&warm)).and_then(|s| s.collect_records())
-    });
-    out.check(warmed.is_ok_and(|(r, _)| r.iter().all(|r| r.status == "ok")), || {
-        "daemon warm-up sweep failed".to_string()
-    });
-    let before = client.cache_stats();
+    let mut daemon = start_daemon(&plan, &workloads, &state_dir, 0, ctx, &mut out);
     out.setup = Some((setup, Instant::now()));
 
-    let timed = Instant::now();
-    let (sessions, end) = sampling(ctx, || {
-        let sessions: Vec<Session> = std::thread::scope(|s| {
-            let handles: Vec<_> = requests
-                .iter()
-                .enumerate()
-                .map(|(c, points)| {
-                    let client = client.clone();
-                    let plan = &plan;
-                    s.spawn(move || session(&client, plan, points, c, ctx))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
+    // Rounds of client sweeps until `--seconds` of timed work. Each round
+    // has a fresh daemon, whose result cache starts empty, so every round
+    // has the same hit share; the seed and the round choose its sweeps.
+    // Starting and warming the daemon of a later round is neither set-up
+    // nor timed work.
+    let mut requests = Vec::new();
+    let mut sessions = Vec::new();
+    let mut counters = [0u64; 4];
+    while let Some((handle, client)) = daemon {
+        let round = out.passes;
+        let round_requests =
+            client_requests(&distinct, ctx.seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let before = client.cache_stats();
+        let start = Instant::now();
+        let round_sessions: Vec<Session> = sampling(ctx, || {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = round_requests
+                    .iter()
+                    .enumerate()
+                    .map(|(c, points)| {
+                        let client = client.clone();
+                        let plan = &plan;
+                        s.spawn(move || session(&client, plan, points, c, ctx))
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
+            })
         });
-        (sessions, Instant::now())
-    });
-    out.timed = Some((timed, end));
-    out.passes = 1;
+        out.timed.push((start, Instant::now()));
+        out.passes += 1;
 
-    let after = client.cache_stats();
-    let drained = ctx.spans.run("simserve", "Client::shutdown", 0, || client.shutdown());
-    out.check(drained.is_ok(), || "daemon shutdown failed".to_string());
-    daemon.join();
-
-    check_records(&plan, &requests, &sessions, &mut out);
-    let requested: usize = requests.iter().map(Vec::len).sum();
-    match (before, after) {
-        (Ok(b), Ok(a)) => {
-            let hits = a.result_hits - b.result_hits;
-            let misses = a.result_misses - b.result_misses;
-            let simulated = a.points_simulated - b.points_simulated;
-            let failed = a.points_failed - b.points_failed;
-            out.check(
-                hits + misses == requested as u64 && simulated == distinct.len() as u64 && failed == 0,
-                || format!("cache counters: {hits} hits + {misses} misses for {requested} requests, {simulated} simulated for {} distinct, {failed} failed", distinct.len()),
-            );
-            out.set("simserve.hit_frac", hits as f64 / requested.max(1) as f64);
-            out.set("simserve.points_simulated", simulated as f64);
-            out.set("simserve.points_failed", failed as f64);
+        let after = client.cache_stats();
+        let drained = ctx.spans.run("simserve", "Client::shutdown", round, || client.shutdown());
+        out.check(drained.is_ok(), || "daemon shutdown failed".to_string());
+        handle.join();
+        let requested: usize = round_requests.iter().map(Vec::len).sum();
+        match (before, after) {
+            (Ok(b), Ok(a)) => {
+                let hits = a.result_hits - b.result_hits;
+                let misses = a.result_misses - b.result_misses;
+                let simulated = a.points_simulated - b.points_simulated;
+                let failed = a.points_failed - b.points_failed;
+                out.check(
+                    hits + misses == requested as u64 && simulated == distinct.len() as u64 && failed == 0,
+                    || format!("round {round} cache counters: {hits} hits + {misses} misses for {requested} requests, {simulated} simulated for {} distinct, {failed} failed", distinct.len()),
+                );
+                for (total, n) in
+                    counters.iter_mut().zip([hits, requested as u64, simulated, failed])
+                {
+                    *total += n;
+                }
+            }
+            _ => {
+                out.check(false, || "cache-stats request failed".to_string());
+            }
         }
-        _ => {
-            out.check(false, || "cache-stats request failed".to_string());
-        }
+        requests.extend(round_requests);
+        sessions.extend(round_sessions);
+        // A second daemon in the same process raises the high-water by 0 to
+        // 60 MiB from run to run; a user runs one daemon, so the high-water
+        // is read before the first restart.
+        out.peak_rss_mib.get_or_insert_with(peak_rss_mib);
+        daemon = if out.timed_s() < ctx.seconds {
+            start_daemon(&plan, &workloads, &state_dir, round + 1, ctx, &mut out)
+        } else {
+            None
+        };
     }
+    if sessions.is_empty() {
+        return out;
+    }
+    // Both clients' records of a point, in every round, must match.
+    check_records(&plan, &requests, &sessions, &mut out);
+    let [hits, requested, simulated, failed] = counters;
+    out.set("simserve.hit_frac", hits as f64 / requested.max(1) as f64);
+    out.set("simserve.points_simulated", simulated as f64);
+    out.set("simserve.points_failed", failed as f64);
     let first: Vec<f64> = sessions.iter().flat_map(|s| s.first_record_ms.iter().copied()).collect();
     out.set("simserve.first_record_ms_p50", median(&first));
 
@@ -208,6 +214,46 @@ pub fn run(ctx: &Ctx) -> Outcome {
         state_probe(&runner, workloads[0], SystemKind::SdcLp, ctx, &mut out);
     }
     out
+}
+
+/// Start a daemon on the primed state dir and warm its graphs and traces
+/// with a design no timed point uses. `None`, with the failure counted,
+/// if it did not start.
+fn start_daemon(
+    plan: &Plan,
+    workloads: &[Workload],
+    state_dir: &Path,
+    round: u64,
+    ctx: &Ctx,
+    out: &mut Outcome,
+) -> Option<(DaemonHandle, Client)> {
+    let socket = ctx.workdir.join(format!("serve-{round}.sock"));
+    let cfg = DaemonConfig {
+        socket: socket.clone(),
+        workers: WORKERS,
+        state_dir: Some(state_dir.to_path_buf()),
+        warmup_fork: true,
+        snapshot_every: plan.snapshot_every,
+        ..DaemonConfig::default()
+    };
+    let handle = match ctx.spans.run("simserve", "Daemon::start", round, || Daemon::start(cfg)) {
+        Ok(d) => d,
+        Err(e) => {
+            eprintln!("perfbench: daemon did not start: {e}");
+            out.attempted += 1;
+            out.failed += 1;
+            return None;
+        }
+    };
+    let client = Client::new(&socket);
+    let warm: Vec<_> = workloads.iter().map(|&w| (w, SystemKind::Expert)).collect();
+    let warmed = ctx.spans.run("simserve", "Client::submit", round, || {
+        client.submit(plan.spec(&warm)).and_then(|s| s.collect_records())
+    });
+    out.check(warmed.is_ok_and(|(r, _)| r.iter().all(|r| r.status == "ok")), || {
+        "daemon warm-up sweep failed".to_string()
+    });
+    Some((handle, client))
 }
 
 /// Run `f` while another thread samples the host speed: the work runs on
@@ -267,13 +313,12 @@ fn session(
                     .run("simserve", "SweepStream::next_record", request, || stream.next_record())
                 {
                     Ok(Some(rec)) => {
-                        let now = Instant::now();
-                        let ms = (now - t).as_secs_f64() * 1e3;
+                        let ms = t.elapsed().as_secs_f64() * 1e3;
                         if got == 0 {
                             s.first_record_ms.push(ms);
                         }
                         got += 1;
-                        s.records.push((rec, ms, t, now));
+                        s.records.push((rec, ms));
                     }
                     Ok(None) => break,
                     Err(e) => {
@@ -302,7 +347,7 @@ fn check_records(
     for (points, s) in requests.iter().zip(sessions) {
         out.attempted += points.len() as u64;
         out.failed += s.missing;
-        for (rec, ms, t0, t1) in &s.records {
+        for (rec, ms) in &s.records {
             let body = without_index(&rec.manifest_json);
             let instr = json_u64(&body, "instructions").unwrap_or(0);
             let cycles = json_u64(&body, "cycles").unwrap_or(0);
@@ -312,7 +357,7 @@ fn check_records(
             if out
                 .check(good, || format!("{key}: status {} or differs between clients", rec.status))
             {
-                out.points.push((*ms, *t0, *t1));
+                out.points.push(*ms);
                 out.delivered_instr += plan.window.warmup + instr;
                 ipc.insert(
                     (rec.workload.clone(), rec.system.clone()),
