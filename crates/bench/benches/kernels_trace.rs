@@ -1,5 +1,7 @@
 //! Criterion microbench: instrumented-kernel trace generation rate (the
 //! cost of producing simulator input, amortized across every experiment).
+//! The `pr` and `cc` rows include building the T-OPT next-use oracle,
+//! which every recording of those kernels pays.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gpkernels::{run_kernel_windowed, Kernel, KernelInput};
@@ -7,8 +9,6 @@ use simcore::RecordingTracer;
 
 fn bench_kernels(c: &mut Criterion) {
     let input = KernelInput::from_symmetric(gpgraph::gen::kron(14, 8, 7));
-    // Prime the lazily-built T-OPT oracle so it is not measured.
-    let _ = input.oracle();
 
     let mut group = c.benchmark_group("kernels_trace");
     group.sample_size(10);

@@ -11,6 +11,17 @@ const A: f64 = 0.57;
 const B: f64 = 0.19;
 const C: f64 = 0.19;
 
+/// The R-MAT quadrant `(row bit, column bit)` for a uniform draw `r`:
+/// `[0, A)` top-left, `[A, A+B)` top-right, `[A+B, A+B+C)` bottom-left,
+/// the rest bottom-right. Branch-free, since an if-chain over the
+/// 57/19/19/5 split mispredicts about half the time.
+#[inline]
+fn quadrant(r: f64) -> (u64, u64) {
+    let bu = u64::from(r >= A + B);
+    let bv = u64::from((A..A + B).contains(&r)) | u64::from(r >= A + B + C);
+    (bu, bv)
+}
+
 /// Generate an R-MAT graph with `2^scale` vertices and `edge_factor *
 /// 2^scale` undirected edges, deterministically from `seed`.
 pub fn kron(scale: u32, edge_factor: usize, seed: u64) -> Csr {
@@ -21,16 +32,7 @@ pub fn kron(scale: u32, edge_factor: usize, seed: u64) -> Csr {
     for _ in 0..m {
         let (mut u, mut v) = (0u64, 0u64);
         for _ in 0..scale {
-            let r: f64 = rng.random();
-            let (bu, bv) = if r < A {
-                (0, 0)
-            } else if r < A + B {
-                (0, 1)
-            } else if r < A + B + C {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
+            let (bu, bv) = quadrant(rng.random());
             u = (u << 1) | bu;
             v = (v << 1) | bv;
         }
@@ -51,6 +53,27 @@ mod tests {
         assert_eq!(a, b);
         let c = kron(10, 8, 43);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn quadrant_matches_the_initiator_slices() {
+        let chain = |r: f64| {
+            if r < A {
+                (0, 0)
+            } else if r < A + B {
+                (0, 1)
+            } else if r < A + B + C {
+                (1, 0)
+            } else {
+                (1, 1)
+            }
+        };
+        let edges = [A, A + B, A + B + C];
+        let around = edges.iter().flat_map(|&e| [e.next_down(), e, e.next_up()]);
+        let grid = (0..=10_000).map(|i| f64::from(i) / 10_000.0);
+        for r in around.chain(grid) {
+            assert_eq!(quadrant(r), chain(r), "r = {r}");
+        }
     }
 
     #[test]

@@ -39,6 +39,7 @@ pub fn connected_components<T: Tracer + ?Sized>(
 ) -> CcResult {
     let g = &input.csr;
     let n = g.num_vertices();
+    // Built for this run only; dropped when the run (recording) ends.
     let oracle = input.oracle();
 
     let mut space = AddressSpace::new(asid);

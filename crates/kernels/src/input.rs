@@ -1,9 +1,8 @@
-//! Shared kernel input: the graph in both directions plus the lazily-built
-//! T-OPT next-use oracle.
+//! Shared kernel input: the graph in both directions.
 
 use crate::oracle::NextUseOracle;
 use gpgraph::{transpose, Csr, VertexId};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A graph prepared for kernel execution.
 pub struct KernelInput {
@@ -11,20 +10,19 @@ pub struct KernelInput {
     pub csr: Arc<Csr>,
     /// Incoming-neighbor view (CSC). Equal to `csr` for symmetric graphs.
     pub csc: Arc<Csr>,
-    oracle: OnceLock<NextUseOracle>,
 }
 
 impl KernelInput {
     /// For a symmetric (undirected) graph the CSC *is* the CSR.
     pub fn from_symmetric(g: Csr) -> Self {
         let csr = Arc::new(g);
-        KernelInput { csc: Arc::clone(&csr), csr, oracle: OnceLock::new() }
+        KernelInput { csc: Arc::clone(&csr), csr }
     }
 
     /// For a directed graph, compute the transpose.
     pub fn from_directed(g: Csr) -> Self {
         let csc = Arc::new(transpose(&g));
-        KernelInput { csr: Arc::new(g), csc, oracle: OnceLock::new() }
+        KernelInput { csr: Arc::new(g), csc }
     }
 
     /// Load a kernel input from a binary CSR cache file, treating the
@@ -44,9 +42,12 @@ impl KernelInput {
         self.csr.num_edges()
     }
 
-    /// The T-OPT next-use oracle over the CSC sweep order (built once).
-    pub fn oracle(&self) -> &NextUseOracle {
-        self.oracle.get_or_init(|| NextUseOracle::build(&self.csc))
+    /// Build the T-OPT next-use oracle over the CSC sweep order. The table
+    /// holds one `u32` per neighbors-array slot plus one per vertex, so it
+    /// is not kept with the graph: the hinted kernels build it at the start
+    /// of a run and free it when the run (a trace recording) ends.
+    pub fn oracle(&self) -> NextUseOracle {
+        NextUseOracle::build(&self.csc)
     }
 
     /// Deterministic traversal source: the highest-out-degree vertex
@@ -107,10 +108,16 @@ mod tests {
     }
 
     #[test]
-    fn oracle_is_cached() {
-        let input = KernelInput::from_symmetric(gpgraph::gen::urand(50, 2, 9));
-        let a = input.oracle() as *const _;
-        let b = input.oracle() as *const _;
-        assert_eq!(a, b);
+    fn oracle_follows_the_csc_sweep_order() {
+        // Directed 0->1, 0->2, 1->2: the CSC neighbors array is [0, 0, 1],
+        // so vertex 0's first slot is 0 and its next one is 1.
+        let g = build_csr(3, &[(0, 1), (0, 2), (1, 2)], BuildOptions::default());
+        let input = KernelInput::from_directed(g);
+        let oracle = input.oracle();
+        assert_eq!(oracle.sweep_len(), 3);
+        assert_eq!(oracle.hint(0, 0, 0), 1);
+        // Slot 1 is vertex 0's last in the sweep: next is slot 0 of sweep 1.
+        assert_eq!(oracle.hint(0, 1, 0), 3);
+        assert_eq!(oracle.hint(0, 2, 1), 3 + 2);
     }
 }

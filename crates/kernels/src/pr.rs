@@ -43,6 +43,7 @@ pub fn pagerank<T: Tracer + ?Sized>(
     let g = &input.csc; // pull: incoming neighbors
     let out = &input.csr;
     let n = g.num_vertices();
+    // Built for this run only; dropped when the run (recording) ends.
     let oracle = input.oracle();
 
     let mut space = AddressSpace::new(asid);

@@ -8,8 +8,8 @@ use crate::rob::RobModel;
 use crate::stats::{CacheStats, HierStats, SimResult, StrideProfile, StrideProfiler};
 use crate::trace::{CompactTrace, MemRef, Tracer};
 use simtel::{
-    DramDelta, EventKind, ExtraCounters, LevelDelta, LpDelta, StallBuckets, StallTag,
-    TelemetryHandle, TelemetryInterval,
+    DramDelta, EventKind, ExtraCounters, LevelDelta, LpDelta, StallBuckets, TelemetryHandle,
+    TelemetryInterval,
 };
 
 /// Warmup/measurement window lengths, in instructions.
@@ -490,20 +490,7 @@ impl<M: MemorySystem> Tracer for Engine<M> {
         }
         let d = self.rob.dispatch_slot();
         let outcome = self.mem.access(&r, d);
-        // Stores retire through the write buffer: they do not block the ROB
-        // for their full memory latency. Loads carry a stall tag naming
-        // what they wait on, so a later dispatch stall behind them can be
-        // attributed (MSHR pressure outranks the serving level: the delay
-        // existed before the access even issued).
-        let (completion, tag) = if r.is_write {
-            (d + 1, StallTag::Core)
-        } else if outcome.mshr_stalled {
-            (outcome.completion, StallTag::MshrFull)
-        } else if outcome.served_by_dram() {
-            (outcome.completion, StallTag::Dram)
-        } else {
-            (outcome.completion, StallTag::Mem)
-        };
+        let (completion, tag) = outcome.rob_entry(r.is_write, d);
         self.rob.complete_tagged(completion, tag);
         if self.tel.enabled() && !matches!(outcome.served_by, ServedBy::L1d | ServedBy::Sdc) {
             self.tel.event(completion, || EventKind::CacheMiss {

@@ -16,6 +16,7 @@ use crate::stats::HierStats;
 use crate::tlb::TlbHierarchy;
 use crate::trace::MemRef;
 use crate::victim::VictimCache;
+use simtel::StallTag;
 
 /// Which component ultimately supplied the data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +51,24 @@ impl AccessOutcome {
 
     pub fn served_by_dram(&self) -> bool {
         self.served_by == ServedBy::Dram
+    }
+
+    /// The ROB entry of this access, dispatched at cycle `dispatch`: its
+    /// completion cycle and the stall tag naming what a later dispatch
+    /// stall behind it waits on. Stores retire through the write buffer,
+    /// so they do not block the ROB for their memory latency. MSHR
+    /// pressure outranks the serving level: the delay existed before the
+    /// access even issued. Both engines retire accesses through this.
+    pub fn rob_entry(&self, is_write: bool, dispatch: u64) -> (u64, StallTag) {
+        if is_write {
+            (dispatch + 1, StallTag::Core)
+        } else if self.mshr_stalled {
+            (self.completion, StallTag::MshrFull)
+        } else if self.served_by_dram() {
+            (self.completion, StallTag::Dram)
+        } else {
+            (self.completion, StallTag::Mem)
+        }
     }
 }
 

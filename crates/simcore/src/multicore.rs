@@ -175,8 +175,8 @@ impl<C: CoreMemory> MulticoreRun<C> {
                 r.addr += self.offsets[cid];
                 let d = core.rob.dispatch_slot();
                 let out = self.engine.mems[cid].access(&r, d, &mut self.engine.backend);
-                let completion = if r.is_write { d + 1 } else { out.completion };
-                core.rob.complete_at(completion);
+                let (completion, tag) = out.rob_entry(r.is_write, d);
+                core.rob.complete_tagged(completion, tag);
                 core.instrs += 1;
             } else {
                 core.rob.bubbles(ev.addr);
@@ -374,12 +374,22 @@ mod tests {
     use crate::trace::{RecordingTracer, Tracer};
 
     fn make_trace(seed: u64, instrs: u64, footprint_blocks: u64) -> CompactTrace {
+        make_spaced_trace(seed, instrs, footprint_blocks, 2)
+    }
+
+    /// Random loads over `footprint_blocks`, `bubbles` ALU ops apart.
+    fn make_spaced_trace(
+        seed: u64,
+        instrs: u64,
+        footprint_blocks: u64,
+        bubbles: u32,
+    ) -> CompactTrace {
         let mut rec = RecordingTracer::new(instrs);
         let mut x = seed;
         while !rec.done() {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             rec.load(1, 0, (x % footprint_blocks) * 64);
-            rec.bubble(2);
+            rec.bubble(bubbles);
         }
         rec.finish()
     }
@@ -520,6 +530,39 @@ mod tests {
         }
         // Shared-backend events carry the SHARED_CORE stamp.
         assert!(out.events.iter().all(|ev| ev.core < 2 || ev.core == simtel::SHARED_CORE));
+    }
+
+    #[test]
+    fn dram_bound_stalls_are_charged_to_dram_and_mshr_buckets() {
+        // Loads spread over a footprint far beyond the LLC: nearly every
+        // one misses to DRAM. Sparse loads leave MSHRs free, so the ROB
+        // fills behind DRAM misses; dense loads also exhaust the MSHRs.
+        let stalls = |bubbles: u32| {
+            let cfg = cfg();
+            let traces: Vec<CompactTrace> =
+                (0..2).map(|i| make_spaced_trace(i + 11, 20_000, 10_000_000, bubbles)).collect();
+            let refs: Vec<&CompactTrace> = traces.iter().collect();
+            let mems: Vec<CoreSide> = (0..2).map(|_| CoreSide::new(&cfg)).collect();
+            let mut eng =
+                MulticoreEngine::new(mems, SharedBackend::new(&cfg), Window::new(2000, 18_000));
+            let tcfg =
+                simtel::TelemetryConfig { interval_instructions: 2000, ..Default::default() };
+            let tel = TelemetryHandle::collector(&tcfg);
+            eng.attach_telemetry(tel.clone());
+            eng.run(&refs, 4, 224);
+            let out = tel.take_output().unwrap();
+            out.intervals.iter().fold(simtel::StallBuckets::default(), |mut acc, iv| {
+                acc.rob_full += iv.stalls.rob_full;
+                acc.mshr_full += iv.stalls.mshr_full;
+                acc.dram_wait += iv.stalls.dram_wait;
+                acc
+            })
+        };
+        let sparse = stalls(24);
+        assert!(sparse.dram_wait > 0, "no DRAM wait charged: {sparse:?}");
+        assert!(sparse.dram_wait > sparse.rob_full, "{sparse:?}");
+        let dense = stalls(1);
+        assert!(dense.mshr_full > 0, "no MSHR-full stall charged: {dense:?}");
     }
 
     #[test]
