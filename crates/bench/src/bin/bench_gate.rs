@@ -21,73 +21,27 @@
 //!
 //! Exit codes: 0 pass, 1 drift detected, 2 usage or input error.
 
+use gpworkloads::parse_json_object;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Minimal parser for the flat one-level JSON objects `fig7 --bench-out`
-/// writes: string keys mapping to numbers or strings, no nesting, no
-/// arrays. Numbers come back as `f64` (every value the gate compares is
-/// either a count well below 2^53 or already a float).
-fn parse_flat(text: &str) -> Result<BTreeMap<String, FlatValue>, String> {
-    let mut map = BTreeMap::new();
-    let body = text.trim();
-    let body = body
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("expected a top-level JSON object")?;
-    for (lineno, raw) in body.split(',').enumerate() {
-        let pair = raw.trim();
-        if pair.is_empty() {
-            continue;
-        }
-        let (key, value) = pair
-            .split_once(':')
-            .ok_or_else(|| format!("entry {lineno}: expected \"key\": value in {pair:?}"))?;
-        let key = key
-            .trim()
-            .strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .ok_or_else(|| format!("entry {lineno}: unquoted key in {pair:?}"))?;
-        let value = value.trim();
-        let parsed = if let Some(s) = value.strip_prefix('"') {
-            let s = s.strip_suffix('"').ok_or_else(|| format!("unterminated string for {key}"))?;
-            FlatValue::Str(s.to_string())
-        } else {
-            FlatValue::Num(value.parse::<f64>().map_err(|e| format!("bad number for {key}: {e}"))?)
-        };
-        map.insert(key.to_string(), parsed);
-    }
-    Ok(map)
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum FlatValue {
-    Num(f64),
-    Str(String),
-}
-
-struct Summary(BTreeMap<String, FlatValue>);
+/// A `fig7 --bench-out` summary: one flat JSON object. Values keep their
+/// raw token text; numbers parse on demand (every value the gate compares
+/// is either a count well below 2^53 or already a float).
+struct Summary(BTreeMap<String, String>);
 
 impl Summary {
     fn load(path: &str) -> Result<Self, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        Ok(Summary(parse_flat(&text).map_err(|e| format!("parsing {path}: {e}"))?))
-    }
-
-    fn num(&self, key: &str) -> Result<f64, String> {
-        match self.0.get(key) {
-            Some(FlatValue::Num(n)) => Ok(*n),
-            Some(FlatValue::Str(_)) => Err(format!("{key}: expected a number")),
-            None => Err(format!("{key}: missing")),
-        }
+        Ok(Summary(parse_json_object(&text).map_err(|e| format!("parsing {path}: {e}"))?))
     }
 
     fn str(&self, key: &str) -> Result<&str, String> {
-        match self.0.get(key) {
-            Some(FlatValue::Str(s)) => Ok(s),
-            Some(FlatValue::Num(_)) => Err(format!("{key}: expected a string")),
-            None => Err(format!("{key}: missing")),
-        }
+        self.0.get(key).map(String::as_str).ok_or_else(|| format!("{key}: missing"))
+    }
+
+    fn num(&self, key: &str) -> Result<f64, String> {
+        self.str(key)?.parse().map_err(|e| format!("{key}: expected a number ({e})"))
     }
 }
 
@@ -287,22 +241,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_the_bench_summary_shape() {
-        let text = "{\n  \"bench\": \"fig7\",\n  \"scale\": \"small\",\n  \"points\": 216,\n  \
-                    \"wall_seconds\": 85.388,\n  \"stall_share_busy\": 0.412345\n}\n";
-        let map = parse_flat(text).unwrap();
-        assert_eq!(map["bench"], FlatValue::Str("fig7".into()));
-        assert_eq!(map["points"], FlatValue::Num(216.0));
-        assert_eq!(map["wall_seconds"], FlatValue::Num(85.388));
-        assert_eq!(map["stall_share_busy"], FlatValue::Num(0.412345));
+    fn reads_the_committed_baseline() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
+        let b = Summary::load(path).unwrap();
+        assert_eq!(b.str("bench").unwrap(), "fig7");
+        assert_eq!(b.str("scale").unwrap(), "small");
+        assert_eq!(b.num("points").unwrap(), b.num("points_ok").unwrap());
+        assert!(b.num("simulated_instr_per_sec").unwrap() > 0.0);
+        // The last entry ends at a newline, not at a comma.
+        assert!(b.num("stall_share_busy").unwrap() > 0.0);
     }
 
     #[test]
-    fn rejects_non_objects_and_bad_pairs() {
-        assert!(parse_flat("[1, 2]").is_err());
-        assert!(parse_flat("{\"k\" 1}").is_err());
-        assert!(parse_flat("{k: 1}").is_err());
-        assert!(parse_flat("{\"k\": nope}").is_err());
+    fn strings_with_commas_and_non_numbers() {
+        let s = Summary(parse_json_object("{\"note\": \"a, b\",\n \"k\": nope\n}").unwrap());
+        assert_eq!(s.str("note").unwrap(), "a, b");
+        assert!(s.num("k").is_err());
+        assert!(s.num("missing").is_err());
+        assert!(parse_json_object("[1, 2]").is_err());
+        assert!(parse_json_object("{\"k\" 1}").is_err());
+        assert!(parse_json_object("{k: 1}").is_err());
     }
 
     #[test]
@@ -310,8 +268,8 @@ mod tests {
         let mk = |rate: f64, share: f64| {
             Summary(
                 [
-                    ("simulated_instr_per_sec".to_string(), FlatValue::Num(rate)),
-                    ("stall_share_busy".to_string(), FlatValue::Num(share)),
+                    ("simulated_instr_per_sec".to_string(), rate.to_string()),
+                    ("stall_share_busy".to_string(), share.to_string()),
                 ]
                 .into_iter()
                 .collect(),

@@ -11,39 +11,11 @@ pub use stride::StridePrefetcher;
 
 use crate::config::PrefetcherKind;
 
-/// A prefetcher observes the demand stream at its cache level and proposes
-/// block addresses to fill.
-pub trait Prefetcher: Send {
-    /// Called on every demand access (`pc`, `block`); pushes candidate
-    /// prefetch block addresses into `out`.
-    fn on_access(&mut self, pc: u16, block: u64, hit: bool, out: &mut Vec<u64>);
-}
-
-/// A prefetcher that never prefetches.
-#[derive(Debug, Default)]
-pub struct NoPrefetch;
-
-impl Prefetcher for NoPrefetch {
-    fn on_access(&mut self, _pc: u16, _block: u64, _hit: bool, _out: &mut Vec<u64>) {}
-}
-
-/// Construct a boxed prefetcher for a config selector.
-pub fn make_prefetcher(kind: PrefetcherKind) -> Box<dyn Prefetcher> {
-    match kind {
-        PrefetcherKind::None => Box::new(NoPrefetch),
-        PrefetcherKind::NextLine => Box::new(NextLine::new()),
-        PrefetcherKind::Spp => Box::new(Spp::new(SppConfig::default())),
-        PrefetcherKind::Stride => Box::new(StridePrefetcher::default()),
-    }
-}
-
-/// Enum-dispatched prefetcher for the hierarchy hot path.
-///
-/// Behaves exactly like the boxed [`Prefetcher`] objects from
-/// [`make_prefetcher`], but with static dispatch so the per-access
-/// `on_access` call (every L1D and L2C demand access makes one) inlines
-/// instead of going through a vtable. The trait stays for composable
-/// users and tests.
+/// Enum-dispatched prefetcher for the hierarchy hot path. Each unit
+/// observes the demand stream at its cache level (`on_access(pc, block,
+/// hit, out)`) and pushes candidate prefetch block addresses into `out`;
+/// static dispatch lets the per-access call (every L1D and L2C demand
+/// access makes one) inline instead of going through a vtable.
 #[derive(Debug)]
 pub enum PrefetchState {
     None,
@@ -134,7 +106,8 @@ mod tests {
 
     #[test]
     fn no_prefetch_stays_silent() {
-        let mut p = NoPrefetch;
+        let mut p = PrefetchState::new(PrefetcherKind::None);
+        assert!(p.is_none());
         let mut out = Vec::new();
         p.on_access(0, 42, false, &mut out);
         assert!(out.is_empty());

@@ -9,8 +9,6 @@
 //! from its previous access), so the NA/OA/frontier streams get covered
 //! while connectivity-driven gathers do not trigger useless fetches.
 
-use super::Prefetcher;
-
 const TABLE_SIZE: usize = 64;
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -69,10 +67,10 @@ impl NextLine {
         }
         Ok(())
     }
-}
 
-impl Prefetcher for NextLine {
-    fn on_access(&mut self, pc: u16, block: u64, _hit: bool, out: &mut Vec<u64>) {
+    /// Observe one demand access (`pc`, `block`) and push candidate
+    /// prefetch block addresses into `out`.
+    pub fn on_access(&mut self, pc: u16, block: u64, _hit: bool, out: &mut Vec<u64>) {
         let slot = &mut self.table[pc as usize % TABLE_SIZE];
         let streaming = slot.valid && slot.pc == pc && block.wrapping_sub(slot.last_block) <= 1;
         *slot = Entry { pc, last_block: block, valid: true };

@@ -5,8 +5,6 @@
 //! cover the data-dependent gathers that motivate the paper (Section VI,
 //! "Hardware Prefetching").
 
-use super::Prefetcher;
-
 const TABLE_SIZE: usize = 256;
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -75,10 +73,10 @@ impl StridePrefetcher {
         }
         Ok(())
     }
-}
 
-impl Prefetcher for StridePrefetcher {
-    fn on_access(&mut self, pc: u16, block: u64, _hit: bool, out: &mut Vec<u64>) {
+    /// Observe one demand access (`pc`, `block`) and push candidate
+    /// prefetch block addresses into `out`.
+    pub fn on_access(&mut self, pc: u16, block: u64, _hit: bool, out: &mut Vec<u64>) {
         let slot = &mut self.table[pc as usize % TABLE_SIZE];
         if !slot.valid || slot.pc != pc {
             *slot = Entry { pc, last_block: block, stride: 0, confidence: 0, valid: true };

@@ -1,15 +1,10 @@
-//! Cache replacement policies.
-//!
-//! Policies own their per-line metadata and are driven by the cache through
-//! three hooks: `on_hit`, `on_fill`, and `victim`.
+//! Cache replacement policies: LRU (Table I), SRRIP (extension) and
+//! T-OPT (the paper's state-of-the-art comparison point), driven by the
+//! cache through three hooks: `on_hit`, `on_fill`, and `victim`.
 
-mod lru;
-mod srrip;
 mod topt;
 
-pub use lru::Lru;
-pub use srrip::Srrip;
-pub use topt::{TOpt, TOPT_DEFAULT_DISTANCE};
+pub use topt::TOPT_DEFAULT_DISTANCE;
 
 use crate::config::ReplacementKind;
 
@@ -30,31 +25,10 @@ impl ReplCtx {
     pub const NONE: ReplCtx = ReplCtx { next_use: u32::MAX, pos: 0, sid: 0 };
 }
 
-/// Replacement policy interface.
-pub trait ReplacementPolicy: Send {
-    /// A demand access hit `way` of `set`.
-    fn on_hit(&mut self, set: usize, way: usize, ctx: ReplCtx);
-    /// A line was filled into `way` of `set`.
-    fn on_fill(&mut self, set: usize, way: usize, ctx: ReplCtx);
-    /// Choose a victim way in `set` (all ways are valid when called).
-    fn victim(&mut self, set: usize) -> usize;
-}
-
-/// Construct a boxed policy for the given kind and geometry.
-pub fn make_policy(kind: ReplacementKind, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
-    match kind {
-        ReplacementKind::Lru => Box::new(Lru::new(sets, ways)),
-        ReplacementKind::Srrip => Box::new(Srrip::new(sets, ways)),
-        ReplacementKind::TOpt => Box::new(TOpt::new(sets, ways)),
-    }
-}
-
-/// Enum-dispatched replacement state for the cache hot path.
-///
-/// Semantically identical to the boxed [`ReplacementPolicy`] objects (the
-/// golden fixtures pin this bit-for-bit), but with static dispatch and flat
-/// arrays so `on_hit`/`on_fill`/`victim` inline into the cache's access
-/// loop. The trait objects remain for composable users (TLBs, tests).
+/// Enum-dispatched replacement state for the cache hot path: static
+/// dispatch and flat `set * ways + way` arrays, so `on_hit`/`on_fill`/
+/// `victim` inline into the cache's access loop. The golden fixtures pin
+/// its behaviour bit-for-bit.
 #[derive(Debug)]
 pub enum ReplState {
     Lru { ways: usize, stamps: Vec<u64>, clock: u64 },
@@ -62,8 +36,9 @@ pub enum ReplState {
     TOpt { ways: usize, next_use: Vec<u64>, stamps: Vec<u64>, clock: u64 },
 }
 
-/// Maximum (eviction-candidate) re-reference prediction value, mirrored
-/// from the boxed SRRIP policy.
+/// Maximum (eviction-candidate) re-reference prediction value of SRRIP's
+/// 2-bit RRPV. Fills insert at `MAX - 1` ("long" re-reference interval);
+/// hits promote to 0.
 const SRRIP_MAX_RRPV: u8 = 3;
 
 impl ReplState {
@@ -214,5 +189,126 @@ impl ReplState {
                 victim
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lru(sets: usize, ways: usize) -> ReplState {
+        ReplState::new(ReplacementKind::Lru, sets, ways)
+    }
+
+    fn srrip(sets: usize, ways: usize) -> ReplState {
+        ReplState::new(ReplacementKind::Srrip, sets, ways)
+    }
+
+    fn topt(ways: usize) -> ReplState {
+        ReplState::new(ReplacementKind::TOpt, 1, ways)
+    }
+
+    fn ctx(next_use: u32, pos: u64) -> ReplCtx {
+        ReplCtx { next_use, pos, sid: 0 }
+    }
+
+    #[test]
+    fn lru_evicts_least_recent() {
+        let mut p = lru(1, 4);
+        for w in 0..4 {
+            p.on_fill(0, w, ReplCtx::NONE);
+        }
+        p.on_hit(0, 0, ReplCtx::NONE); // way 0 becomes MRU
+        assert_eq!(p.victim(0), 1);
+        p.on_hit(0, 1, ReplCtx::NONE);
+        assert_eq!(p.victim(0), 2);
+    }
+
+    #[test]
+    fn lru_mru_never_victim() {
+        let mut p = lru(2, 8);
+        for w in 0..8 {
+            p.on_fill(1, w, ReplCtx::NONE);
+        }
+        for hit in [3usize, 7, 0, 5] {
+            p.on_hit(1, hit, ReplCtx::NONE);
+            assert_ne!(p.victim(1), hit);
+        }
+    }
+
+    #[test]
+    fn lru_sets_are_independent() {
+        let mut p = lru(2, 2);
+        p.on_fill(0, 0, ReplCtx::NONE);
+        p.on_fill(0, 1, ReplCtx::NONE);
+        p.on_fill(1, 1, ReplCtx::NONE);
+        p.on_fill(1, 0, ReplCtx::NONE);
+        assert_eq!(p.victim(0), 0);
+        assert_eq!(p.victim(1), 1);
+    }
+
+    #[test]
+    fn srrip_fills_inserted_long_are_early_victims() {
+        let mut p = srrip(1, 4);
+        for w in 0..4 {
+            p.on_fill(0, w, ReplCtx::NONE);
+        }
+        p.on_hit(0, 2, ReplCtx::NONE);
+        // All non-hit ways age to MAX together; way 0 is found first.
+        assert_eq!(p.victim(0), 0);
+    }
+
+    #[test]
+    fn srrip_victim_terminates_and_ages() {
+        let mut p = srrip(1, 2);
+        p.on_hit(0, 0, ReplCtx::NONE);
+        p.on_hit(0, 1, ReplCtx::NONE);
+        // Both RRPV=0: aging must occur until one reaches MAX.
+        let v = p.victim(0);
+        assert!(v < 2);
+    }
+
+    #[test]
+    fn topt_evicts_farthest_next_use() {
+        let mut p = topt(4);
+        p.on_fill(0, 0, ctx(100, 0));
+        p.on_fill(0, 1, ctx(5000, 0));
+        p.on_fill(0, 2, ctx(10, 0));
+        p.on_fill(0, 3, ctx(900, 0));
+        assert_eq!(p.victim(0), 1);
+    }
+
+    #[test]
+    fn topt_unhinted_lines_use_default_distance() {
+        let mut p = topt(2);
+        // Hinted line re-referenced very soon; unhinted assumed far.
+        p.on_fill(0, 0, ctx(10, 0));
+        p.on_fill(0, 1, ctx(u32::MAX, 0));
+        assert_eq!(p.victim(0), 1);
+        // Hinted line re-referenced beyond the default distance loses.
+        let mut p = topt(2);
+        p.on_fill(0, 0, ctx(TOPT_DEFAULT_DISTANCE * 3, 0));
+        p.on_fill(0, 1, ctx(u32::MAX, 0));
+        assert_eq!(p.victim(0), 0);
+    }
+
+    #[test]
+    fn topt_hit_refreshes_prediction() {
+        let mut p = topt(2);
+        p.on_fill(0, 0, ctx(1_000_000, 0));
+        p.on_fill(0, 1, ctx(5000, 0));
+        assert_eq!(p.victim(0), 0);
+        // Way 0 is referenced and its next use is now imminent.
+        p.on_hit(0, 0, ctx(600, 550));
+        assert_eq!(p.victim(0), 1);
+    }
+
+    #[test]
+    fn topt_ties_break_lru() {
+        let mut p = topt(2);
+        p.on_fill(0, 0, ctx(100, 0));
+        p.on_fill(0, 1, ctx(100, 0));
+        // Way 0 was filled first (older stamp) -> victim.
+        assert_eq!(p.victim(0), 0);
     }
 }

@@ -11,7 +11,7 @@
 //! assumed to be re-referenced at a fixed default distance, mirroring
 //! P-OPT's handling of non-graph data.
 
-use super::{ReplCtx, ReplacementPolicy};
+use super::ReplCtx;
 
 /// Assumed re-reference distance for unhinted lines of non-streaming data
 /// (frontier queues, scalars).
@@ -27,13 +27,9 @@ pub const TOPT_STREAM_DISTANCE: u32 = 1 << 26;
 /// OA = 1, NA = 2, WEIGHTS = 7 share the NA's sweep order).
 const STREAMING_SIDS: [u8; 3] = [1, 2, 7];
 
-/// Sentinel: predicted never re-referenced.
-const NEVER: u64 = u64::MAX;
-
 /// Predicted absolute next-use position for an access, from the oracle hint
-/// when present and the per-structure assumed distance otherwise. Shared
-/// with the enum-dispatched `ReplState` in the parent module so both paths
-/// stay bit-identical.
+/// when present and the per-structure assumed distance otherwise (the
+/// T-OPT arm of `ReplState` in the parent module).
 #[inline]
 pub(super) fn predicted(ctx: ReplCtx) -> u64 {
     if ctx.next_use != u32::MAX {
@@ -45,109 +41,4 @@ pub(super) fn predicted(ctx: ReplCtx) -> u64 {
         TOPT_DEFAULT_DISTANCE
     };
     ctx.pos + u64::from(distance)
-}
-
-/// T-OPT: evict the line whose predicted next reference is farthest away.
-#[derive(Debug)]
-pub struct TOpt {
-    ways: usize,
-    /// Predicted absolute next-use position per line.
-    next_use: Vec<u64>,
-    /// LRU stamps used to break ties among equally-far lines.
-    stamps: Vec<u64>,
-    clock: u64,
-}
-
-impl TOpt {
-    pub fn new(sets: usize, ways: usize) -> Self {
-        TOpt { ways, next_use: vec![NEVER; sets * ways], stamps: vec![0; sets * ways], clock: 0 }
-    }
-
-    fn update(&mut self, set: usize, way: usize, ctx: ReplCtx) {
-        let idx = set * self.ways + way;
-        self.next_use[idx] = predicted(ctx);
-        self.clock += 1;
-        self.stamps[idx] = self.clock;
-    }
-}
-
-impl ReplacementPolicy for TOpt {
-    fn on_hit(&mut self, set: usize, way: usize, ctx: ReplCtx) {
-        self.update(set, way, ctx);
-    }
-
-    fn on_fill(&mut self, set: usize, way: usize, ctx: ReplCtx) {
-        self.update(set, way, ctx);
-    }
-
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.ways;
-        let mut victim = 0;
-        let mut farthest = 0u64;
-        let mut oldest = u64::MAX;
-        for w in 0..self.ways {
-            let nu = self.next_use[base + w];
-            let st = self.stamps[base + w];
-            // Prefer the farthest predicted next use; break ties LRU.
-            if nu > farthest || (nu == farthest && st < oldest) {
-                farthest = nu;
-                oldest = st;
-                victim = w;
-            }
-        }
-        victim
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ctx(next_use: u32, pos: u64) -> ReplCtx {
-        ReplCtx { next_use, pos, sid: 0 }
-    }
-
-    #[test]
-    fn evicts_farthest_next_use() {
-        let mut p = TOpt::new(1, 4);
-        p.on_fill(0, 0, ctx(100, 0));
-        p.on_fill(0, 1, ctx(5000, 0));
-        p.on_fill(0, 2, ctx(10, 0));
-        p.on_fill(0, 3, ctx(900, 0));
-        assert_eq!(p.victim(0), 1);
-    }
-
-    #[test]
-    fn unhinted_lines_use_default_distance() {
-        let mut p = TOpt::new(1, 2);
-        // Hinted line re-referenced very soon; unhinted assumed far.
-        p.on_fill(0, 0, ctx(10, 0));
-        p.on_fill(0, 1, ctx(u32::MAX, 0));
-        assert_eq!(p.victim(0), 1);
-        // Hinted line re-referenced beyond the default distance loses.
-        let mut p = TOpt::new(1, 2);
-        p.on_fill(0, 0, ctx(TOPT_DEFAULT_DISTANCE * 3, 0));
-        p.on_fill(0, 1, ctx(u32::MAX, 0));
-        assert_eq!(p.victim(0), 0);
-    }
-
-    #[test]
-    fn hit_refreshes_prediction() {
-        let mut p = TOpt::new(1, 2);
-        p.on_fill(0, 0, ctx(1_000_000, 0));
-        p.on_fill(0, 1, ctx(5000, 0));
-        assert_eq!(p.victim(0), 0);
-        // Way 0 is referenced and its next use is now imminent.
-        p.on_hit(0, 0, ctx(600, 550));
-        assert_eq!(p.victim(0), 1);
-    }
-
-    #[test]
-    fn ties_break_lru() {
-        let mut p = TOpt::new(1, 2);
-        p.on_fill(0, 0, ctx(100, 0));
-        p.on_fill(0, 1, ctx(100, 0));
-        // Way 0 was filled first (older stamp) -> victim.
-        assert_eq!(p.victim(0), 0);
-    }
 }

@@ -30,14 +30,13 @@ use crate::proto::{
     SweepSummary,
 };
 use gpgraph::SuiteScale;
-use gpworkloads::matrix::{MatrixOptions, MatrixPoint, RunManifest, SystemSpec, Watchdog};
+use gpworkloads::matrix::{MatrixOptions, MatrixPoint, SystemSpec, Watchdog};
 use gpworkloads::singlecore::Workload;
 use gpworkloads::{find_scale, find_system, find_workload, Runner};
 use simcore::Window;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -166,6 +165,8 @@ struct Sched {
 struct Shared {
     cfg: DaemonConfig,
     workers: u32,
+    /// Checkpoint store over `cfg.state_dir`, shared by every worker.
+    store: Option<simstate::CheckpointStore>,
     runners: RunnerPool,
     results: Arc<ResultCache>,
     stale_reaped: AtomicU64,
@@ -263,6 +264,7 @@ impl Daemon {
         };
         let shared = Arc::new(Shared {
             workers: workers as u32,
+            store: cfg.state_dir.as_ref().map(simstate::CheckpointStore::new),
             runners: RunnerPool::new(),
             results: Arc::new(ResultCache::new()),
             stale_reaped: AtomicU64::new(0),
@@ -641,8 +643,21 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         let (sweep, shard, plan) = job;
         let runner = shared.runners.get(plan.scale, plan.window, plan.skip);
+        // Manifests stay wall-clock-free so streamed records match the
+        // batch binaries byte for byte. The daemon reaps on its own idle
+        // schedule, so the executor's sweep-level options stay off.
+        let opts = MatrixOptions {
+            watchdog: shared.cfg.watchdog,
+            warmup_fork: shared.cfg.warmup_fork,
+            snapshot_every: shared.cfg.snapshot_every,
+            telemetry: (plan.interval > 0).then(|| simtel::TelemetryConfig {
+                interval_instructions: plan.interval,
+                ..Default::default()
+            }),
+            ..MatrixOptions::quiet()
+        };
         for point in shard.points {
-            let (rec, class) = run_point(shared, &runner, &plan, sweep, point);
+            let (rec, class) = run_point(shared, &runner, &opts, sweep, point);
             finish_point(shared, sweep, rec, class);
         }
         let mut s = lock_sched(shared);
@@ -730,33 +745,34 @@ fn archive_sweep(s: &mut MutexGuard<'_, Sched>, limit: usize, sweep: u64, record
 // ---------------------------------------------------------------------------
 
 /// Run one resolved point: serve it from the warm result cache when its
-/// identity matches a finished record, otherwise simulate it under the
-/// fault-isolated batch executor and publish the result.
+/// identity matches a finished record, otherwise simulate it through the
+/// executor's per-point fault domain and publish the result.
 fn run_point(
     shared: &Shared,
-    runner: &Arc<Runner>,
-    plan: &Plan,
+    runner: &Runner,
+    opts: &MatrixOptions,
     sweep: u64,
     point: ResolvedPoint,
 ) -> (RecordMsg, PointClass) {
-    let spec = build_system_spec(&point, runner);
-    let mp = MatrixPoint::new(point.workload, spec);
-    let config_hash = mp.system.config_hash(runner);
+    let mp = MatrixPoint::new(point.workload, build_system_spec(&point, runner));
     let label = mp.system.label();
     let wname = point.workload.name();
+    let index = point.index as usize;
 
-    // The cache key needs the trace checksum, which needs the trace. A
-    // panicking trace recording skips the cache entirely and lets the
-    // executor contain the fault into a `failed` record.
-    let key = catch_unwind(AssertUnwindSafe(|| runner.trace(point.workload)))
+    // The cache key needs the trace checksum, which the runner hashes
+    // once per recording. A panicking trace recording skips the cache;
+    // the executor turns it into a `failed` record.
+    let trace = runner.matrix_trace(point.workload);
+    let key = trace
+        .as_ref()
         .ok()
-        .map(|t| runner.point_resume_key(&mp, &config_hash, simcore::trace_io::trace_checksum(&t)));
+        .map(|(_, sum)| runner.point_resume_key(&mp, &mp.system.config_hash(runner), *sum));
 
     let lease = match key {
         Some(ref key) => match shared.results.claim(key) {
             Claim::Hit(cached) => {
                 let mut manifest = cached.manifest;
-                manifest.index = point.index as usize;
+                manifest.index = index;
                 let rec = RecordMsg {
                     sweep,
                     index: point.index,
@@ -776,62 +792,24 @@ fn run_point(
         None => None,
     };
 
-    let opts = MatrixOptions {
-        manifest_path: None,
-        progress: false,
-        evict: false,
-        walltime: false,
-        resume: false,
-        fail_fast: false,
-        watchdog: shared.cfg.watchdog,
-        state_dir: shared.cfg.state_dir.clone(),
-        warmup_fork: shared.cfg.warmup_fork,
-        snapshot_every: shared.cfg.snapshot_every,
-        telemetry: (plan.interval > 0).then(|| simtel::TelemetryConfig {
-            interval_instructions: plan.interval,
-            ..Default::default()
-        }),
-        // The daemon reaps on its own idle schedule: another sweep's live
-        // mid-measurement snapshots may coexist with this run.
-        reap_stale: false,
-    };
-
-    let (manifest, status, intervals_jsonl) = match runner
-        .run_matrix_points(std::slice::from_ref(&mp), &opts)
-    {
-        Ok(mut records) => match records.pop() {
-            Some(rec) => {
-                let intervals = rec
-                    .telemetry
-                    .as_ref()
-                    .map(|t| simtel::export::intervals_jsonl(&t.intervals))
-                    .unwrap_or_default();
-                let status = rec.manifest.status.clone();
-                (rec.manifest, status, intervals)
-            }
-            None => (
-                synthetic_failed_manifest(runner, &mp, &config_hash, "executor returned no record"),
-                "failed".to_string(),
-                String::new(),
-            ),
-        },
-        // A typed structural rejection (e.g. invalid cache geometry)
-        // fails this point only, exactly like a contained panic.
-        Err(e) => (
-            synthetic_failed_manifest(runner, &mp, &config_hash, &format!("{e}")),
-            "failed".to_string(),
-            String::new(),
-        ),
-    };
+    let rec = runner.run_matrix_point(&mp, index, &trace, opts, shared.store.as_ref());
+    let status = rec.manifest.status.clone();
+    let intervals_jsonl = rec
+        .telemetry
+        .as_ref()
+        .map(|t| simtel::export::intervals_jsonl(&t.intervals))
+        .unwrap_or_default();
 
     shared.results.simulated.fetch_add(1, Ordering::Relaxed);
-    let ok = status == "ok";
+    let ok = rec.is_ok();
     if !ok {
         shared.results.failed.fetch_add(1, Ordering::Relaxed);
-        shared.log(&format!("sweep {sweep}: {wname} on {label} {status}: {}", manifest.error));
+        shared.log(&format!("sweep {sweep}: {wname} on {label} {status}: {}", rec.manifest.error));
     }
-    let cached_point = CachedPoint { manifest: manifest.clone(), status: status.clone() };
+    // simlint::allow(determinism-taint): the daemon's options leave walltime off, so the manifest's only wall-clock field is 0.0.
+    let manifest_json = serde::to_json_string(&rec.manifest);
     if let Some(lease) = lease {
+        let cached_point = CachedPoint { manifest: rec.manifest, status: status.clone() };
         if ok {
             lease.fulfil(cached_point);
         } else {
@@ -839,8 +817,6 @@ fn run_point(
         }
     }
 
-    let mut manifest = manifest;
-    manifest.index = point.index as usize;
     let rec = RecordMsg {
         sweep,
         index: point.index,
@@ -848,7 +824,7 @@ fn run_point(
         system: label,
         status,
         cached: false,
-        manifest_json: serde::to_json_string(&manifest),
+        manifest_json,
         intervals_jsonl,
     };
     (rec, if ok { PointClass::Ok } else { PointClass::Failed })
@@ -863,35 +839,5 @@ fn build_system_spec(point: &ResolvedPoint, runner: &Runner) -> SystemSpec {
         ResolvedSystem::Poison => {
             SystemSpec::custom("poison", "poison-injected", |_| panic!("injected poison point"))
         }
-    }
-}
-
-/// Manifest for a point the executor rejected before producing a record
-/// (structural config error): same identity fields, zeroed results.
-fn synthetic_failed_manifest(
-    runner: &Runner,
-    mp: &MatrixPoint,
-    config_hash: &str,
-    error: &str,
-) -> RunManifest {
-    RunManifest {
-        index: 0,
-        workload: mp.workload.name(),
-        kernel: mp.workload.kernel.to_string(),
-        graph: mp.workload.graph.name().to_string(),
-        system: mp.system.label(),
-        config_hash: config_hash.to_string(),
-        status: "failed".to_string(),
-        error: error.to_string(),
-        scale: format!("{:?}", runner.scale),
-        warmup: runner.window.warmup,
-        measure: runner.window.measure,
-        skip: runner.skip,
-        trace_len: 0,
-        trace_checksum: String::new(),
-        wall_seconds: 0.0,
-        instructions: 0,
-        cycles: 0,
-        ipc: 0.0,
     }
 }

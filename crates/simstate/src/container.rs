@@ -33,10 +33,12 @@ impl Fnv1a {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
+    #[inline]
     pub fn new() -> Self {
         Fnv1a(Self::OFFSET)
     }
 
+    #[inline]
     pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
@@ -44,6 +46,7 @@ impl Fnv1a {
         }
     }
 
+    #[inline]
     pub fn finish(self) -> u64 {
         self.0
     }

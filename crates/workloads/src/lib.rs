@@ -16,7 +16,7 @@ pub mod runner;
 pub mod singlecore;
 
 pub use configs::{build_multicore, build_system, build_system_with_config, SystemKind};
-pub use manifest::validate_json;
+pub use manifest::{parse_json_object, validate_json};
 pub use matrix::{
     cross, MatrixOptions, MatrixPoint, PointStatus, RunManifest, RunRecord, SystemSpec, Watchdog,
 };

@@ -139,10 +139,11 @@ pub(crate) fn load_manifests(path: &Path) -> Result<Vec<RunManifest>, SimError> 
     Ok(out)
 }
 
-/// Parse a flat JSON object (`{"k":v,...}`) into a field map. String
-/// values are unescaped; numeric/bool values are returned as their raw
-/// token text (the schema layer parses them on demand).
-pub(crate) fn parse_json_object(line: &str) -> Result<BTreeMap<String, String>, String> {
+/// Parse a flat JSON object (`{"k":v,...}`, on one line or many) into a
+/// field map. String values are unescaped; numeric/bool values are
+/// returned as their raw token text (callers parse them on demand). Run
+/// manifests and the `fig7 --bench-out` summary both read through it.
+pub fn parse_json_object(line: &str) -> Result<BTreeMap<String, String>, String> {
     let mut p = Parser { bytes: line.as_bytes(), pos: 0 };
     p.skip_ws();
     p.consume(b'{')?;
@@ -270,7 +271,7 @@ impl Parser<'_> {
         }
         let start = self.pos;
         while let Some(b) = self.peek() {
-            if matches!(b, b',' | b'}' | b' ' | b'\t') {
+            if matches!(b, b',' | b'}' | b' ' | b'\t' | b'\r' | b'\n') {
                 break;
             }
             self.pos += 1;
@@ -397,6 +398,16 @@ mod tests {
         assert_eq!(m["f"], "1.25");
         assert_eq!(m["esc"], "line\nbreak \"quoted\" \\ done");
         assert_eq!(m["empty"], "");
+    }
+
+    #[test]
+    fn parses_multi_line_objects() {
+        let m =
+            parse_json_object("{\n  \"a\": 1,\r\n  \"s\": \"x, y\",\n  \"f\": 0.5\n}\n").unwrap();
+        assert_eq!(m["a"], "1");
+        assert_eq!(m["s"], "x, y");
+        assert_eq!(m["f"], "0.5");
+        assert_eq!(parse_json_object("{\"a\": 1\n}").unwrap()["a"], "1");
     }
 
     #[test]

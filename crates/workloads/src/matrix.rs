@@ -332,6 +332,36 @@ impl RunRecord {
     pub fn is_ok(&self) -> bool {
         self.status.is_ok()
     }
+
+    /// The typed error a failed or timed-out point reports to
+    /// [`MatrixOptions::fail_fast`].
+    fn failure(&self) -> Option<SimError> {
+        let (workload, system) = (self.workload.name(), self.label.clone());
+        match &self.status {
+            PointStatus::Ok | PointStatus::Resumed => None,
+            PointStatus::TimedOut { cycles, limit } => {
+                Some(SimError::PointTimedOut { workload, system, cycles: *cycles, limit: *limit })
+            }
+            PointStatus::Failed { .. } => Some(SimError::PointPanicked {
+                workload,
+                system,
+                message: self.status.error_string(),
+            }),
+        }
+    }
+
+    /// The tail of this point's progress line.
+    fn progress_note(&self) -> String {
+        let secs = self.manifest.wall_seconds;
+        match &self.status {
+            PointStatus::Resumed => "resumed".to_string(),
+            PointStatus::Failed { message } => format!("FAILED ({message})"),
+            PointStatus::TimedOut { cycles, .. } => {
+                format!("TIMED OUT after {cycles} cycles ({secs:.1}s)")
+            }
+            PointStatus::Ok => format!("IPC {:.3} ({secs:.1}s)", self.manifest.ipc),
+        }
+    }
 }
 
 /// Per-point runaway-simulation watchdog policy.
@@ -654,6 +684,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// A workload's recorded trace and its checksum, or why recording failed.
+pub type MatrixTrace = Result<(Arc<CompactTrace>, u64), String>;
+
 impl Runner {
     /// Run a matrix of (workload, system) points in parallel and return one
     /// [`RunRecord`] per point, in input order. Progress and eviction
@@ -682,7 +715,10 @@ impl Runner {
     }
 
     /// The general executor: arbitrary [`SystemSpec`]s per point (config
-    /// sweeps and ablations build their own systems).
+    /// sweeps and ablations build their own systems). Each point runs
+    /// through [`Runner::run_matrix_point`]; this layer adds the
+    /// sweep-level work — up-front validation, resume, manifest streaming,
+    /// progress, fail-fast and eviction.
     // simlint::allow(panic-path): point/system vectors are index-aligned by construction; the in-fn unwraps hold invariants waived at their sites
     pub fn run_matrix_points(
         &self,
@@ -690,8 +726,6 @@ impl Runner {
         opts: &MatrixOptions,
     ) -> Result<Vec<RunRecord>, SimError> {
         let total = points.len();
-        let budget = opts.watchdog.budget(self.window.total());
-        let limit = opts.watchdog.limit(self.window.total());
 
         // Reject structurally invalid configurations up front with a typed
         // error: set indexing is mask-based, so a non-power-of-two set
@@ -702,13 +736,6 @@ impl Runner {
                 kind.system_config(1).validate().map_err(SimError::from)?;
             }
         }
-
-        // Per-point identity, computed up front: the manifest's
-        // config_hash, the resume key, and checkpoint identity all derive
-        // from it.
-        let hash_u64s: Vec<u64> =
-            points.iter().map(|p| hash_config_u64(&p.system.config_repr(self))).collect();
-        let hashes: Vec<String> = hash_u64s.iter().map(|h| format!("{h:016x}")).collect();
 
         // Resume: index prior `ok` records by identity. Resolution happens
         // inside each shard once its trace — and thus the trace checksum
@@ -779,175 +806,22 @@ impl Runner {
                 let (results, completed, graph_pending) = (&results, &completed, &graph_pending);
                 let (writer, manifest_error) = (&writer, &manifest_error);
                 let (abort, first_failure) = (&abort, &first_failure);
-                let points = &points;
-                let (hashes, hash_u64s) = (&hashes, &hash_u64s);
-                let (resume_index, store) = (&resume_index, &store);
+                let (resume_index, store) = (&resume_index, store.as_ref());
                 s.spawn(move |_| {
                     if abort.load(Ordering::Relaxed) {
                         return;
                     }
-                    // Trace recording is itself a failure domain: a
-                    // panicking kernel poisons this shard's points, not
-                    // the sweep.
-                    let trace = match catch_unwind(AssertUnwindSafe(|| self.trace(w))) {
-                        Ok(t) => Ok(t),
-                        Err(payload) => {
-                            Err(format!("trace recording panicked: {}", panic_message(payload)))
-                        }
-                    };
-                    // The trace's identity, shared by every point of the
-                    // shard: resume keys and checkpoint headers embed it.
-                    let tsum = trace.as_ref().map_or(0, |t| simcore::trace_io::trace_checksum(t));
+                    let trace = self.matrix_trace(w);
                     for i in indices {
                         if abort.load(Ordering::Relaxed) {
                             return;
                         }
                         let point = &points[i];
-                        let label = point.system.label();
-
-                        // Resume resolution: reuse a prior ok record whose
-                        // full identity — trace checksum included — still
-                        // matches this point.
-                        if trace.is_ok() {
-                            let key = self.point_resume_key(point, &hashes[i], tsum);
-                            if let Some(prior) = resume_index.get(&key) {
-                                let mut prior_manifest = prior.clone();
-                                prior_manifest.index = i;
-                                let n = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                                if opts.progress {
-                                    eprintln!("[{n}/{total}] {w} on {label}: resumed");
-                                }
-                                if let Some(wr) = writer.lock().as_mut() {
-                                    if let Err(e) =
-                                        wr.submit(i, serde::to_json_string(&prior_manifest))
-                                    {
-                                        let mut slot = manifest_error.lock();
-                                        if slot.is_none() {
-                                            *slot = Some(e);
-                                        }
-                                    }
-                                }
-                                *results[i].lock() = Some(RunRecord {
-                                    workload: w,
-                                    kind: point.system.kind(),
-                                    label,
-                                    status: PointStatus::Resumed,
-                                    result: SimResult {
-                                        instructions: prior_manifest.instructions,
-                                        cycles: prior_manifest.cycles,
-                                        stats: Default::default(),
-                                    },
-                                    manifest: prior_manifest,
-                                    telemetry: None,
-                                });
-                                continue;
-                            }
-                        }
-                        let started = Instant::now();
-                        let (status, result, trace_len, telemetry) = match &trace {
-                            Err(msg) => (
-                                PointStatus::Failed { message: msg.clone() },
-                                SimResult::default(),
-                                0,
-                                None,
-                            ),
-                            Ok(trace) => {
-                                let plan = store.as_ref().and_then(|st| {
-                                    if !opts.warmup_fork && opts.snapshot_every == 0 {
-                                        return None;
-                                    }
-                                    // The warmup class: everything the
-                                    // post-warmup machine state depends on.
-                                    let class = format!(
-                                        "{}|{:?}|w{}+m{}|s{}|t{tsum:016x}|c{}",
-                                        w.name(),
-                                        self.scale,
-                                        self.window.warmup,
-                                        self.window.measure,
-                                        self.skip,
-                                        hashes[i],
-                                    );
-                                    Some(CheckpointPlan {
-                                        store: st,
-                                        warm_fork: opts.warmup_fork && self.window.warmup > 0,
-                                        snapshot_every: opts.snapshot_every,
-                                        warmup: self.window.warmup,
-                                        window_total: self.window.total(),
-                                        config_hash: hash_u64s[i],
-                                        trace_checksum: tsum,
-                                        warm_key: format!("warm|{class}"),
-                                        mid_key: format!("mid|{class}"),
-                                    })
-                                });
-                                // One collector per point, attached inside
-                                // the same fault domain as the replay.
-                                // Telemetry only observes, so results stay
-                                // bit-identical with it on.
-                                let tel =
-                                    opts.telemetry.as_ref().map(simtel::TelemetryHandle::collector);
-                                let run = catch_unwind(AssertUnwindSafe(|| {
-                                    let build = || {
-                                        let sys = point.system.build(w.kernel, self);
-                                        let mut engine = self.engine_for(sys);
-                                        engine.set_budget(budget);
-                                        if let Some(tel) = &tel {
-                                            engine.attach_telemetry(tel.clone());
-                                        }
-                                        engine
-                                    };
-                                    let mut engine = build();
-                                    match &plan {
-                                        Some(plan) => engine = plan.replay(engine, &build, trace),
-                                        None => engine.replay(trace),
-                                    }
-                                    let timed_out = engine.timed_out();
-                                    let total_cycles = engine.current_cycle();
-                                    (engine.finish(), timed_out, total_cycles)
-                                }));
-                                let (status, result, trace_len) = match run {
-                                    Ok((result, false, _)) => {
-                                        (PointStatus::Ok, result, trace.events.len())
-                                    }
-                                    Ok((result, true, cycles)) => (
-                                        PointStatus::TimedOut { cycles, limit },
-                                        result,
-                                        trace.events.len(),
-                                    ),
-                                    Err(payload) => (
-                                        PointStatus::Failed {
-                                            message: panic_message(payload),
-                                        },
-                                        SimResult::default(),
-                                        trace.events.len(),
-                                    ),
-                                };
-                                // A panicking point's half-collected
-                                // intervals describe no completed run.
-                                let telemetry = match &status {
-                                    PointStatus::Failed { .. } => None,
-                                    _ => tel.and_then(|t| t.take_output()),
-                                };
-                                (status, result, trace_len, telemetry)
-                            }
+                        let rec = match self.resumed_record(point, i, &trace, resume_index) {
+                            Some(rec) => rec,
+                            None => self.run_matrix_point(point, i, &trace, opts, store),
                         };
-                        let wall_seconds = started.elapsed().as_secs_f64();
-
-                        if !status.is_ok() {
-                            let err = match &status {
-                                PointStatus::TimedOut { cycles, limit } => {
-                                    SimError::PointTimedOut {
-                                        workload: w.name(),
-                                        system: label.clone(),
-                                        cycles: *cycles,
-                                        limit: *limit,
-                                    }
-                                }
-                                _ => SimError::PointPanicked {
-                                    workload: w.name(),
-                                    system: label.clone(),
-                                    message: status.error_string(),
-                                },
-                            };
+                        if let Some(err) = rec.failure() {
                             let mut slot = first_failure.lock();
                             if slot.is_none() {
                                 *slot = Some(err);
@@ -956,66 +830,24 @@ impl Runner {
                                 abort.store(true, Ordering::Relaxed);
                             }
                         }
-
-                        // simlint::allow(determinism-taint): wall_seconds is the one sanctioned wall-clock field; opts.walltime (off by default and in CI byte-identity runs) gates it to 0.0.
-                        let manifest = RunManifest {
-                            index: i,
-                            workload: w.name(),
-                            kernel: w.kernel.to_string(),
-                            graph: w.graph.name().to_string(),
-                            system: label.clone(),
-                            config_hash: hashes[i].clone(),
-                            status: status.as_str().to_string(),
-                            error: status.error_string(),
-                            scale: format!("{:?}", self.scale),
-                            warmup: self.window.warmup,
-                            measure: self.window.measure,
-                            skip: self.skip,
-                            trace_len,
-                            trace_checksum: if trace.is_ok() {
-                                format!("{tsum:016x}")
-                            } else {
-                                String::new()
-                            },
-                            wall_seconds: if opts.walltime { wall_seconds } else { 0.0 },
-                            instructions: result.instructions,
-                            cycles: result.cycles,
-                            ipc: result.ipc(),
-                        };
                         let n = completed.fetch_add(1, Ordering::Relaxed) + 1;
                         if opts.progress {
-                            match &status {
-                                PointStatus::Failed { message } => eprintln!(
-                                    "[{n}/{total}] {w} on {label}: FAILED ({message})"
-                                ),
-                                PointStatus::TimedOut { cycles, .. } => eprintln!(
-                                    "[{n}/{total}] {w} on {label}: TIMED OUT after {cycles} cycles ({wall_seconds:.1}s)"
-                                ),
-                                _ => eprintln!(
-                                    "[{n}/{total}] {w} on {label}: IPC {ipc:.3} ({wall_seconds:.1}s)",
-                                    ipc = manifest.ipc,
-                                ),
-                            }
+                            eprintln!(
+                                "[{n}/{total}] {w} on {}: {}",
+                                rec.label,
+                                rec.progress_note()
+                            );
                         }
                         if let Some(wr) = writer.lock().as_mut() {
-                            // simlint::allow(determinism-taint): serializes the manifest built above; wall_seconds is the only wall-clock field and is gated by opts.walltime.
-                            if let Err(e) = wr.submit(i, serde::to_json_string(&manifest)) {
+                            // simlint::allow(determinism-taint): serializes the point's manifest; wall_seconds is the only wall-clock field and is gated by opts.walltime.
+                            if let Err(e) = wr.submit(i, serde::to_json_string(&rec.manifest)) {
                                 let mut slot = manifest_error.lock();
                                 if slot.is_none() {
                                     *slot = Some(e);
                                 }
                             }
                         }
-                        // simlint::allow(determinism-taint): the record embeds the manifest above; its only nondeterministic field is the walltime-gated wall_seconds.
-                        *results[i].lock() = Some(RunRecord {
-                            workload: w,
-                            kind: point.system.kind(),
-                            label,
-                            status,
-                            result,
-                            manifest,
-                            telemetry,
-                        });
+                        *results[i].lock() = Some(rec);
                     }
                     drop(trace);
                     if opts.evict {
@@ -1077,6 +909,177 @@ impl Runner {
             }
         }
         Ok(records)
+    }
+
+    /// A workload's trace and its identity, for [`Runner::run_matrix_point`].
+    /// Trace recording is itself a failure domain: a panicking kernel
+    /// becomes an `Err` that fails that workload's points, not the sweep
+    /// or the daemon worker.
+    pub fn matrix_trace(&self, w: Workload) -> MatrixTrace {
+        catch_unwind(AssertUnwindSafe(|| self.trace_with_checksum(w)))
+            .map_err(|payload| format!("trace recording panicked: {}", panic_message(payload)))
+    }
+
+    /// Resume resolution: a prior `ok` record whose full identity — trace
+    /// checksum included — still matches this point, re-indexed to `index`.
+    fn resumed_record(
+        &self,
+        point: &MatrixPoint,
+        index: usize,
+        trace: &MatrixTrace,
+        resume_index: &BTreeMap<String, RunManifest>,
+    ) -> Option<RunRecord> {
+        let (_, tsum) = trace.as_ref().ok()?;
+        if resume_index.is_empty() {
+            return None;
+        }
+        let key = self.point_resume_key(point, &point.system.config_hash(self), *tsum);
+        let mut manifest = resume_index.get(&key)?.clone();
+        manifest.index = index;
+        Some(RunRecord {
+            workload: point.workload,
+            kind: point.system.kind(),
+            label: point.system.label(),
+            status: PointStatus::Resumed,
+            result: SimResult {
+                instructions: manifest.instructions,
+                cycles: manifest.cycles,
+                stats: Default::default(),
+            },
+            manifest,
+            telemetry: None,
+        })
+    }
+
+    /// Run one matrix point in its own fault domain and describe it: the
+    /// per-point executor behind both [`Runner::run_matrix_points`] and
+    /// the simserve daemon's workers. It covers the checkpoint plan
+    /// (warmup fork, mid-measurement snapshots), panic isolation, the
+    /// watchdog, telemetry and the manifest; `index` is the point's
+    /// position in its sweep or submission. A failed `trace` yields a
+    /// `failed` record without simulating.
+    pub fn run_matrix_point(
+        &self,
+        point: &MatrixPoint,
+        index: usize,
+        trace: &MatrixTrace,
+        opts: &MatrixOptions,
+        store: Option<&simstate::CheckpointStore>,
+    ) -> RunRecord {
+        let w = point.workload;
+        let config_hash = hash_config_u64(&point.system.config_repr(self));
+        let started = Instant::now();
+        let (status, result, trace_len, telemetry) = match trace {
+            Err(msg) => {
+                (PointStatus::Failed { message: msg.clone() }, SimResult::default(), 0, None)
+            }
+            Ok((trace, tsum)) => {
+                let plan = store.and_then(|st| {
+                    if !opts.warmup_fork && opts.snapshot_every == 0 {
+                        return None;
+                    }
+                    // The warmup class: everything the post-warmup
+                    // machine state depends on.
+                    let class = format!(
+                        "{}|{:?}|w{}+m{}|s{}|t{tsum:016x}|c{config_hash:016x}",
+                        w.name(),
+                        self.scale,
+                        self.window.warmup,
+                        self.window.measure,
+                        self.skip,
+                    );
+                    Some(CheckpointPlan {
+                        store: st,
+                        warm_fork: opts.warmup_fork && self.window.warmup > 0,
+                        snapshot_every: opts.snapshot_every,
+                        warmup: self.window.warmup,
+                        window_total: self.window.total(),
+                        config_hash,
+                        trace_checksum: *tsum,
+                        warm_key: format!("warm|{class}"),
+                        mid_key: format!("mid|{class}"),
+                    })
+                });
+                // One collector per point, attached inside the same fault
+                // domain as the replay. Telemetry only observes, so results
+                // stay bit-identical with it on.
+                let tel = opts.telemetry.as_ref().map(simtel::TelemetryHandle::collector);
+                let budget = opts.watchdog.budget(self.window.total());
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    let build = || {
+                        let sys = point.system.build(w.kernel, self);
+                        let mut engine = self.engine_for(sys);
+                        engine.set_budget(budget);
+                        if let Some(tel) = &tel {
+                            engine.attach_telemetry(tel.clone());
+                        }
+                        engine
+                    };
+                    let mut engine = build();
+                    match &plan {
+                        Some(plan) => engine = plan.replay(engine, &build, trace),
+                        None => engine.replay(trace),
+                    }
+                    let timed_out = engine.timed_out();
+                    let total_cycles = engine.current_cycle();
+                    (engine.finish(), timed_out, total_cycles)
+                }));
+                let (status, result) = match run {
+                    Ok((result, false, _)) => (PointStatus::Ok, result),
+                    Ok((result, true, cycles)) => {
+                        let limit = opts.watchdog.limit(self.window.total());
+                        (PointStatus::TimedOut { cycles, limit }, result)
+                    }
+                    Err(payload) => (
+                        PointStatus::Failed { message: panic_message(payload) },
+                        SimResult::default(),
+                    ),
+                };
+                // A panicking point's half-collected intervals describe no
+                // completed run.
+                let telemetry = match &status {
+                    PointStatus::Failed { .. } => None,
+                    _ => tel.and_then(|t| t.take_output()),
+                };
+                (status, result, trace.events.len(), telemetry)
+            }
+        };
+        let wall_seconds = started.elapsed().as_secs_f64();
+
+        let label = point.system.label();
+        // simlint::allow(determinism-taint): wall_seconds is the one sanctioned wall-clock field; opts.walltime (off by default and in CI byte-identity runs) gates it to 0.0.
+        let manifest = RunManifest {
+            index,
+            workload: w.name(),
+            kernel: w.kernel.to_string(),
+            graph: w.graph.name().to_string(),
+            system: label.clone(),
+            config_hash: format!("{config_hash:016x}"),
+            status: status.as_str().to_string(),
+            error: status.error_string(),
+            scale: format!("{:?}", self.scale),
+            warmup: self.window.warmup,
+            measure: self.window.measure,
+            skip: self.skip,
+            trace_len,
+            trace_checksum: trace
+                .as_ref()
+                .map_or_else(|_| String::new(), |(_, tsum)| format!("{tsum:016x}")),
+            wall_seconds: if opts.walltime { wall_seconds } else { 0.0 },
+            instructions: result.instructions,
+            cycles: result.cycles,
+            ipc: result.ipc(),
+        };
+        // simlint::allow(determinism-taint): the record embeds the manifest above; its only nondeterministic field is the walltime-gated wall_seconds.
+        RunRecord {
+            workload: w,
+            kind: point.system.kind(),
+            label,
+            status,
+            result,
+            manifest,
+            telemetry,
+        }
     }
 
     /// The resume identity of a submitted point (mirrors
@@ -1156,6 +1159,45 @@ mod tests {
                 "matrix result for {w} on {k} diverged from sequential run_one"
             );
         }
+    }
+
+    /// The simserve daemon's path: `run_matrix_point` called directly,
+    /// with warm fork and telemetry on, reproduces the point's record from
+    /// a sweep — same result, same manifest apart from `index`.
+    #[test]
+    fn direct_point_matches_its_sweep_record() {
+        let state = std::env::temp_dir().join("sdclp-matrix-test").join("direct-point");
+        let _ = std::fs::remove_dir_all(&state);
+        let w = Workload::new(Kernel::Pr, GraphInput::Kron);
+        let points = vec![
+            MatrixPoint::new(
+                Workload::new(Kernel::Bfs, GraphInput::Urand),
+                SystemSpec::Kind(SystemKind::Baseline),
+            ),
+            MatrixPoint::new(w, SystemSpec::Kind(SystemKind::SdcLp)),
+        ];
+        let cfg = simtel::TelemetryConfig { interval_instructions: 10_000, ..Default::default() };
+        let opts =
+            MatrixOptions::quiet().with_state_dir(&state).forking_warmup(true).with_telemetry(cfg);
+        // The sweep runs cold and persists the fork point; the direct call
+        // restores from it.
+        let swept = tiny_runner().run_matrix_points(&points, &opts).expect("sweep runs");
+
+        let r = tiny_runner();
+        let store = simstate::CheckpointStore::new(&state);
+        let direct = r.run_matrix_point(&points[1], 7, &r.matrix_trace(w), &opts, Some(&store));
+        assert_eq!(direct.status, PointStatus::Ok);
+        assert_eq!(direct.result, swept[1].result, "direct point diverged from the sweep");
+        assert!(direct.telemetry.is_some(), "telemetry collected on the direct path");
+        assert_eq!(direct.manifest.index, 7);
+        let mut manifest = direct.manifest.clone();
+        manifest.index = swept[1].manifest.index;
+        assert_eq!(
+            serde::to_json_string(&manifest),
+            serde::to_json_string(&swept[1].manifest),
+            "direct manifest diverged from the sweep's"
+        );
+        let _ = std::fs::remove_dir_all(&state);
     }
 
     #[test]

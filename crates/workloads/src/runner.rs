@@ -14,7 +14,15 @@ use simcore::hierarchy::MemorySystem;
 use simcore::stats::StrideProfile;
 use simcore::{CompactTrace, Engine, RecordingTracer, SimResult, SystemConfig, Window};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// A recorded trace plus its identity, hashed the first time a caller
+/// asks for it and then shared by every holder of the cache entry.
+#[derive(Clone)]
+struct CachedTrace {
+    trace: Arc<CompactTrace>,
+    checksum: Arc<OnceLock<u64>>,
+}
 
 /// Builds inputs/traces lazily and runs simulations.
 pub struct Runner {
@@ -26,7 +34,7 @@ pub struct Runner {
     /// which puts every kernel past its initialization sweeps.
     pub skip: u64,
     graphs: Mutex<BTreeMap<GraphInput, Arc<KernelInput>>>,
-    traces: Mutex<BTreeMap<Workload, Arc<CompactTrace>>>,
+    traces: Mutex<BTreeMap<Workload, CachedTrace>>,
     regular_traces: Mutex<BTreeMap<RegularKind, Arc<CompactTrace>>>,
     /// Keep recorded traces cached across calls (memory permitting).
     pub cache_traces: bool,
@@ -108,18 +116,33 @@ impl Runner {
     /// The (cached) recorded trace for a workload, spanning the full
     /// warmup + measurement window.
     pub fn trace(&self, w: Workload) -> Arc<CompactTrace> {
+        self.cached_trace(w).trace
+    }
+
+    /// The (cached) trace plus its identity, the FNV-1a
+    /// [`simcore::trace_io::trace_checksum`] that manifests, resume keys,
+    /// checkpoint headers and the simserve result cache embed. The sum is
+    /// computed once per recording, on the first request, and cached with
+    /// the trace; callers that only replay ([`Runner::trace`]) never pay
+    /// for it.
+    pub fn trace_with_checksum(&self, w: Workload) -> (Arc<CompactTrace>, u64) {
+        let c = self.cached_trace(w);
+        let sum = *c.checksum.get_or_init(|| simcore::trace_io::trace_checksum(&c.trace));
+        (c.trace, sum)
+    }
+
+    fn cached_trace(&self, w: Workload) -> CachedTrace {
         if let Some(t) = self.traces.lock().get(&w) {
-            return Arc::clone(t);
+            return t.clone();
         }
         let input = self.input(w.graph);
         let mut rec = RecordingTracer::with_skip(self.skip, self.window.total());
         run_kernel_windowed(w.kernel, &input, 0, &mut rec);
-        let trace = Arc::new(rec.finish());
+        let entry = CachedTrace { trace: Arc::new(rec.finish()), checksum: Arc::default() };
         if self.cache_traces {
-            let mut guard = self.traces.lock();
-            return Arc::clone(guard.entry(w).or_insert(trace));
+            return self.traces.lock().entry(w).or_insert(entry).clone();
         }
-        trace
+        entry
     }
 
     /// Drop a cached trace (the sweep harnesses bound their memory by
@@ -277,6 +300,20 @@ mod tests {
         let t3 = r.trace(w);
         assert!(!Arc::ptr_eq(&t1, &t3));
         assert_eq!(t1.events, t3.events, "regenerated trace must be identical");
+    }
+
+    #[test]
+    fn trace_checksum_is_cached_per_recording() {
+        let r = tiny_runner();
+        let w = Workload::new(Kernel::Bfs, GraphInput::Kron);
+        let expected = simcore::trace_io::trace_checksum(&r.trace(w));
+        let (t1, sum1) = r.trace_with_checksum(w);
+        assert_eq!(sum1, expected);
+        assert!(Arc::ptr_eq(&t1, &r.trace(w)), "the checksum rides on the cached trace");
+        r.evict_trace(w);
+        let (t2, sum2) = r.trace_with_checksum(w);
+        assert!(!Arc::ptr_eq(&t1, &t2), "eviction forces a fresh recording");
+        assert_eq!(sum2, expected, "the re-recorded trace hashes to the same identity");
     }
 
     #[test]
