@@ -11,6 +11,8 @@
 
 use crate::builder::{build_csr, BuildOptions};
 use crate::csr::{Csr, VertexId};
+use crate::gen::par_edges;
+use crate::par::host_chunks;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,42 +71,84 @@ impl AliasTable {
     }
 
     #[inline]
-    // simlint::allow(panic-path): the drawn index is reduced into 0..n before the prob/alias lookups
     pub fn sample(&self, rng: &mut StdRng) -> u32 {
-        let n = self.prob.len();
+        self.resolve(Self::draw_slot(self.prob.len(), rng))
+    }
+
+    /// The random half of a sample over `n` entries: a slot and its coin,
+    /// with no table lookup.
+    #[inline]
+    fn draw_slot(n: usize, rng: &mut StdRng) -> Slot {
         let i = rng.random_range(0..n);
-        if rng.random::<f64>() < self.prob[i] {
-            i as u32
+        Slot { i, coin: rng.random::<f64>() }
+    }
+
+    /// The table half of a sample: the slot's own entry or its alias.
+    #[inline]
+    // simlint::allow(panic-path): slots are drawn from 0..n, the table's length
+    fn resolve(&self, slot: Slot) -> u32 {
+        if slot.coin < self.prob[slot.i] {
+            slot.i as u32
         } else {
-            self.alias[i]
+            self.alias[slot.i]
         }
     }
+}
+
+/// One alias-table draw before its lookup.
+struct Slot {
+    i: usize,
+    coin: f64,
 }
 
 /// Generate a Chung–Lu graph with `n` vertices and `edge_factor * n`
 /// undirected edges.
 pub fn chung_lu(n: usize, edge_factor: usize, params: ChungLuParams, seed: u64) -> Csr {
-    let m = edge_factor * n;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let edges = chung_lu_edges(n, edge_factor, params, seed, host_chunks(edge_factor * n));
+    build_csr(n, &edges, BuildOptions { symmetrize: true, ..Default::default() })
+}
 
+/// [`chung_lu`]'s edge list, drawn over `chunks` threads.
+fn chung_lu_edges(
+    n: usize,
+    edge_factor: usize,
+    params: ChungLuParams,
+    seed: u64,
+    chunks: usize,
+) -> Vec<(VertexId, VertexId)> {
+    if n == 0 {
+        return Vec::new();
+    }
     let weights: Vec<f64> = (0..n).map(|i| ((i + 1) as f64).powf(-params.theta)).collect();
     let table = AliasTable::new(&weights);
+    let skip = |rng: &mut StdRng| {
+        edge(n, params, rng, |_| 0);
+    };
+    let draw = |rng: &mut StdRng| edge(n, params, rng, |slot| table.resolve(slot));
+    par_edges(edge_factor * n, StdRng::seed_from_u64(seed), chunks, skip, draw)
+}
 
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let u = table.sample(&mut rng) as VertexId;
-        let v = if params.locality > 0.0 && rng.random::<f64>() < params.locality {
-            // Local edge: destination near the source.
-            let w = params.locality_window.max(1);
-            let delta = rng.random_range(0..w) as i64 - (w / 2) as i64;
-            let cand = u as i64 + delta;
-            cand.rem_euclid(n as i64) as VertexId
-        } else {
-            table.sample(&mut rng) as VertexId
-        };
-        edges.push((u, v));
-    }
-    build_csr(n, &edges, BuildOptions { symmetrize: true, ..Default::default() })
+/// One edge: the generator's single definition of its draw order. `resolve`
+/// turns an alias slot into a vertex. Whether an edge is local depends only
+/// on the draws, so a no-op `resolve` consumes exactly the same stream.
+#[inline]
+fn edge(
+    n: usize,
+    params: ChungLuParams,
+    rng: &mut StdRng,
+    resolve: impl Fn(Slot) -> VertexId,
+) -> (VertexId, VertexId) {
+    let u = resolve(AliasTable::draw_slot(n, rng));
+    let v = if params.locality > 0.0 && rng.random::<f64>() < params.locality {
+        // Local edge: destination near the source.
+        let w = params.locality_window.max(1);
+        let delta = rng.random_range(0..w) as i64 - (w / 2) as i64;
+        let cand = u as i64 + delta;
+        cand.rem_euclid(n as i64) as VertexId
+    } else {
+        resolve(AliasTable::draw_slot(n, rng))
+    };
+    (u, v)
 }
 
 #[cfg(test)]
@@ -142,6 +186,24 @@ mod tests {
         let table = AliasTable::new(&[3.0]);
         let mut rng = StdRng::seed_from_u64(2);
         assert_eq!(table.sample(&mut rng), 0);
+    }
+
+    #[test]
+    fn edge_list_is_the_same_for_every_chunk_count() {
+        let web = ChungLuParams { theta: 0.5, locality: 0.5, locality_window: 1024 };
+        for p in [params(), web] {
+            let expected = chung_lu_edges(4096, 8, p, 0x03eb, 1);
+            for chunks in 2..=5 {
+                assert_eq!(chung_lu_edges(4096, 8, p, 0x03eb, chunks), expected, "{p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_graph() {
+        let g = chung_lu(0, 8, params(), 1);
+        assert_eq!(g.num_vertices(), 0);
+        assert_eq!(g, crate::gen::urand(0, 8, 1));
     }
 
     #[test]

@@ -3,8 +3,10 @@
 
 use crate::builder::{build_csr, BuildOptions};
 use crate::csr::{Csr, VertexId};
+use crate::gen::par_edges;
+use crate::par::host_chunks;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// R-MAT initiator probabilities used by Graph500/GAP: A=0.57, B=C=0.19.
 const A: f64 = 0.57;
@@ -26,19 +28,34 @@ fn quadrant(r: f64) -> (u64, u64) {
 /// 2^scale` undirected edges, deterministically from `seed`.
 pub fn kron(scale: u32, edge_factor: usize, seed: u64) -> Csr {
     let n = 1usize << scale;
-    let m = edge_factor * n;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
+    let edges = kron_edges(scale, edge_factor, seed, host_chunks(edge_factor * n));
+    build_csr(n, &edges, BuildOptions { symmetrize: true, ..Default::default() })
+}
+
+/// [`kron`]'s edge list, drawn over `chunks` threads. Each edge takes
+/// `scale` uniform draws, one per bit of its endpoints.
+fn kron_edges(
+    scale: u32,
+    edge_factor: usize,
+    seed: u64,
+    chunks: usize,
+) -> Vec<(VertexId, VertexId)> {
+    let m = edge_factor << scale;
+    let skip = |rng: &mut StdRng| {
+        for _ in 0..scale {
+            rng.next_u64();
+        }
+    };
+    let draw = |rng: &mut StdRng| {
         let (mut u, mut v) = (0u64, 0u64);
         for _ in 0..scale {
             let (bu, bv) = quadrant(rng.random());
             u = (u << 1) | bu;
             v = (v << 1) | bv;
         }
-        edges.push((u as VertexId, v as VertexId));
-    }
-    build_csr(n, &edges, BuildOptions { symmetrize: true, ..Default::default() })
+        (u as VertexId, v as VertexId)
+    };
+    par_edges(m, StdRng::seed_from_u64(seed), chunks, skip, draw)
 }
 
 #[cfg(test)]
@@ -73,6 +90,14 @@ mod tests {
         let grid = (0..=10_000).map(|i| f64::from(i) / 10_000.0);
         for r in around.chain(grid) {
             assert_eq!(quadrant(r), chain(r), "r = {r}");
+        }
+    }
+
+    #[test]
+    fn edge_list_is_the_same_for_every_chunk_count() {
+        let expected = kron_edges(12, 10, 0x6809, 1);
+        for chunks in 2..=5 {
+            assert_eq!(kron_edges(12, 10, 0x6809, chunks), expected, "{chunks} chunks");
         }
     }
 

@@ -52,9 +52,13 @@ pub fn road(side: usize, keep: f64, shortcuts: usize, seed: u64) -> Csr {
             }
         }
     }
+    // Shortcuts start in the first `side - 2` rows and columns; a grid of
+    // side 2 or less has none to draw from.
+    let span = side.saturating_sub(2);
+    let shortcuts = if span == 0 { 0 } else { shortcuts };
     for _ in 0..shortcuts {
-        let r = rng.random_range(0..side.saturating_sub(2));
-        let c = rng.random_range(0..side.saturating_sub(2));
+        let r = rng.random_range(0..span);
+        let c = rng.random_range(0..span);
         edges.push((id(r, c), id(r + 1, c + 1)));
     }
     build_csr(n, &edges, BuildOptions { symmetrize: true, ..Default::default() })
@@ -106,6 +110,16 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(road(64, 0.9, 100, 2), road(64, 0.9, 100, 2));
+    }
+
+    #[test]
+    fn grids_too_small_for_shortcuts_skip_them() {
+        for side in [1, 2] {
+            let g = road(side, 1.0, 10, 3);
+            g.validate().unwrap();
+            assert_eq!(g.num_vertices(), side * side);
+            assert_eq!(g.num_edges(), 4 * (side - 1) * side, "side {side}: grid edges only");
+        }
     }
 
     #[test]

@@ -4,21 +4,35 @@
 
 use crate::builder::{build_csr, BuildOptions};
 use crate::csr::{Csr, VertexId};
+use crate::gen::par_edges;
+use crate::par::host_chunks;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Generate a uniform random graph with `n` vertices and `edge_factor * n`
 /// undirected edges.
 pub fn urand(n: usize, edge_factor: usize, seed: u64) -> Csr {
-    let m = edge_factor * n;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
+    let edges = urand_edges(n, edge_factor, seed, host_chunks(edge_factor * n));
+    build_csr(n, &edges, BuildOptions { symmetrize: true, ..Default::default() })
+}
+
+/// [`urand`]'s edge list, drawn over `chunks` threads. A draw makes no
+/// table lookup, so the pre-pass skips an edge by drawing it.
+fn urand_edges(
+    n: usize,
+    edge_factor: usize,
+    seed: u64,
+    chunks: usize,
+) -> Vec<(VertexId, VertexId)> {
+    let draw = |rng: &mut StdRng| {
         let u = rng.random_range(0..n) as VertexId;
         let v = rng.random_range(0..n) as VertexId;
-        edges.push((u, v));
-    }
-    build_csr(n, &edges, BuildOptions { symmetrize: true, ..Default::default() })
+        (u, v)
+    };
+    let skip = |rng: &mut StdRng| {
+        draw(rng);
+    };
+    par_edges(edge_factor * n, StdRng::seed_from_u64(seed), chunks, skip, draw)
 }
 
 #[cfg(test)]
@@ -29,6 +43,19 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(urand(1000, 8, 5), urand(1000, 8, 5));
+    }
+
+    #[test]
+    fn edge_list_is_the_same_for_every_chunk_count() {
+        let expected = urand_edges(4096, 10, 0x07a9d, 1);
+        for chunks in 2..=5 {
+            assert_eq!(urand_edges(4096, 10, 0x07a9d, chunks), expected, "{chunks} chunks");
+        }
+    }
+
+    #[test]
+    fn empty_graph() {
+        assert_eq!(urand(0, 8, 1).num_vertices(), 0);
     }
 
     #[test]

@@ -22,6 +22,8 @@ pub mod io;
 pub mod suite;
 pub mod transpose;
 
+mod par;
+
 pub use builder::{build_csr, BuildOptions};
 pub use csr::{Csr, VertexId};
 pub use degree::DegreeStats;

@@ -16,6 +16,23 @@ use simcore::{CompactTrace, Engine, RecordingTracer, SimResult, SystemConfig, Wi
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
+/// A single-flight cache: one cell per key. The map lock is held only to
+/// get or insert a cell; the value is built outside it, once, while racing
+/// callers for the same key wait on the cell. A build that panics leaves
+/// the cell empty, so the next caller retries.
+type Cells<K, V> = Mutex<BTreeMap<K, Arc<OnceLock<V>>>>;
+
+fn single_flight<K: Ord, V: Clone>(cells: &Cells<K, V>, key: K, build: impl FnOnce() -> V) -> V {
+    let cell = Arc::clone(cells.lock().entry(key).or_default());
+    cell.get_or_init(build).clone()
+}
+
+/// Cells that hold a value (a cell whose build is still running, or
+/// panicked, holds none).
+fn resident<K, V>(cells: &Cells<K, V>) -> usize {
+    cells.lock().values().filter(|c| c.get().is_some()).count()
+}
+
 /// A recorded trace plus its identity, hashed the first time a caller
 /// asks for it and then shared by every holder of the cache entry.
 #[derive(Clone)]
@@ -33,11 +50,24 @@ pub struct Runner {
     /// into the kernel's steady-state phase). Defaults to `8 x vertices`,
     /// which puts every kernel past its initialization sweeps.
     pub skip: u64,
-    graphs: Mutex<BTreeMap<GraphInput, Arc<KernelInput>>>,
-    traces: Mutex<BTreeMap<Workload, CachedTrace>>,
-    regular_traces: Mutex<BTreeMap<RegularKind, Arc<CompactTrace>>>,
+    graphs: Cells<GraphInput, Arc<KernelInput>>,
+    traces: Cells<Workload, CachedTrace>,
+    regular_traces: Cells<RegularKind, Arc<CompactTrace>>,
     /// Keep recorded traces cached across calls (memory permitting).
     pub cache_traces: bool,
+    builds: BuildCount,
+}
+
+/// Graph builds and trace recordings a [`Runner`] started, counted for the
+/// single-flight tests; empty outside them.
+#[derive(Default)]
+struct BuildCount(#[cfg(test)] std::sync::atomic::AtomicUsize);
+
+impl BuildCount {
+    fn bump(&self) {
+        #[cfg(test)]
+        self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
 }
 
 impl Runner {
@@ -51,6 +81,7 @@ impl Runner {
             traces: Mutex::new(BTreeMap::new()),
             regular_traces: Mutex::new(BTreeMap::new()),
             cache_traces: true,
+            builds: Default::default(),
         }
     }
 
@@ -71,15 +102,15 @@ impl Runner {
     /// Graphs are memoized in memory and, when `GRAPH_CACHE_DIR` is set
     /// (the gpbench harness sets it to `target/graph-cache`), persisted to
     /// disk so successive harness binaries skip regeneration.
+    ///
+    /// Concurrent callers for the same graph share one build: it takes
+    /// seconds and hundreds of MiB at Medium scale and more at Full, and
+    /// already uses several host threads.
     pub fn input(&self, graph: GraphInput) -> Arc<KernelInput> {
-        if let Some(g) = self.graphs.lock().get(&graph) {
-            return Arc::clone(g);
-        }
-        // Build outside the lock (graph generation takes seconds at Full
-        // scale); racing builders waste work but stay correct.
-        let built = Arc::new(KernelInput::from_symmetric(self.load_or_build(graph)));
-        let mut guard = self.graphs.lock();
-        Arc::clone(guard.entry(graph).or_insert(built))
+        single_flight(&self.graphs, graph, || {
+            self.builds.bump();
+            Arc::new(KernelInput::from_symmetric(self.load_or_build(graph)))
+        })
     }
 
     fn load_or_build(&self, graph: GraphInput) -> gpgraph::Csr {
@@ -132,17 +163,18 @@ impl Runner {
     }
 
     fn cached_trace(&self, w: Workload) -> CachedTrace {
-        if let Some(t) = self.traces.lock().get(&w) {
-            return t.clone();
-        }
-        let input = self.input(w.graph);
-        let mut rec = RecordingTracer::with_skip(self.skip, self.window.total());
-        run_kernel_windowed(w.kernel, &input, 0, &mut rec);
-        let entry = CachedTrace { trace: Arc::new(rec.finish()), checksum: Arc::default() };
+        let record = || {
+            self.builds.bump();
+            let input = self.input(w.graph);
+            let mut rec = RecordingTracer::with_skip(self.skip, self.window.total());
+            run_kernel_windowed(w.kernel, &input, 0, &mut rec);
+            CachedTrace { trace: Arc::new(rec.finish()), checksum: Arc::default() }
+        };
         if self.cache_traces {
-            return self.traces.lock().entry(w).or_insert(entry).clone();
+            single_flight(&self.traces, w, record)
+        } else {
+            record()
         }
-        entry
     }
 
     /// Drop a cached trace (the sweep harnesses bound their memory by
@@ -159,12 +191,12 @@ impl Runner {
     /// Number of workload traces currently resident in the cache (the
     /// simserve daemon reports this in `cache-stats`).
     pub fn cached_trace_count(&self) -> usize {
-        self.traces.lock().len()
+        resident(&self.traces)
     }
 
     /// Number of suite graphs currently resident in the cache.
     pub fn cached_graph_count(&self) -> usize {
-        self.graphs.lock().len()
+        resident(&self.graphs)
     }
 
     pub(crate) fn engine_for(
@@ -246,17 +278,17 @@ impl Runner {
     /// [`Runner::trace`] — the threshold sweep replays each of these
     /// against many tau values and used to re-record per replay.
     pub fn regular_trace(&self, kind: RegularKind) -> Arc<CompactTrace> {
-        if let Some(t) = self.regular_traces.lock().get(&kind) {
-            return Arc::clone(t);
-        }
-        let mut rec = RecordingTracer::new(self.window.total());
-        run_regular(kind, 0, &mut rec);
-        let trace = Arc::new(rec.finish());
+        let record = || {
+            self.builds.bump();
+            let mut rec = RecordingTracer::new(self.window.total());
+            run_regular(kind, 0, &mut rec);
+            Arc::new(rec.finish())
+        };
         if self.cache_traces {
-            let mut guard = self.regular_traces.lock();
-            return Arc::clone(guard.entry(kind).or_insert(trace));
+            single_flight(&self.regular_traces, kind, record)
+        } else {
+            record()
         }
-        trace
     }
 
     /// Drop a cached regular-suite trace.
@@ -281,6 +313,7 @@ impl Runner {
 mod tests {
     use super::*;
     use gpkernels::Kernel;
+    use std::panic::AssertUnwindSafe;
 
     fn tiny_runner() -> Runner {
         Runner::new(SuiteScale::Tiny, Window::new(20_000, 80_000))
@@ -300,6 +333,53 @@ mod tests {
         let t3 = r.trace(w);
         assert!(!Arc::ptr_eq(&t1, &t3));
         assert_eq!(t1.events, t3.events, "regenerated trace must be identical");
+    }
+
+    /// `f`'s results on four threads released together.
+    fn race<T: Send>(f: impl Fn() -> T + Sync) -> Vec<T> {
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        f()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().expect("racer panicked")).collect()
+        })
+    }
+
+    #[test]
+    fn racing_callers_share_one_build() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let r = tiny_runner();
+        let inputs = race(|| r.input(GraphInput::Urand));
+        assert!(inputs.iter().all(|g| Arc::ptr_eq(g, &inputs[0])));
+        assert_eq!(r.builds.0.swap(0, Relaxed), 1, "one graph build");
+
+        let w = Workload::new(Kernel::Pr, GraphInput::Kron);
+        let traces = race(|| r.trace(w));
+        assert!(traces.iter().all(|t| Arc::ptr_eq(t, &traces[0])));
+        assert_eq!(r.builds.0.swap(0, Relaxed), 2, "one graph build and one recording");
+
+        let regular = race(|| r.regular_trace(RegularKind::Stream));
+        assert!(regular.iter().all(|t| Arc::ptr_eq(t, &regular[0])));
+        assert_eq!(r.builds.0.load(Relaxed), 1, "one regular recording");
+        assert_eq!((r.cached_graph_count(), r.cached_trace_count()), (2, 1));
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_cell_for_a_retry() {
+        let r = tiny_runner();
+        let first = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            single_flight(&r.graphs, GraphInput::Web, || panic!("build failed"))
+        }));
+        assert!(first.is_err());
+        assert_eq!(r.cached_graph_count(), 0, "a failed build caches nothing");
+        let g = r.input(GraphInput::Web);
+        assert!(Arc::ptr_eq(&g, &r.input(GraphInput::Web)));
     }
 
     #[test]
