@@ -27,7 +27,8 @@ use std::process::ExitCode;
 /// * `--watchdog-cpi N` — per-point runaway ceiling of `N` cycles per
 ///   windowed instruction (default 512); `--no-watchdog` disarms it.
 /// * `--state-dir DIR` — directory for engine-state checkpoints (default
-///   `results/state/<bin>`; `--no-state` disables checkpointing).
+///   `results/state/<bin>`; checkpointing is off unless `--warmup-fork`
+///   or `--snapshot-every` asks for it).
 /// * `--warmup-fork` — persist each point's post-warmup machine state and
 ///   fork from it on later runs of the same point (bit-identical results;
 ///   skips the warmup replay).
@@ -68,8 +69,6 @@ pub struct HarnessOpts {
     pub bench_out: Option<PathBuf>,
     /// Explicit checkpoint directory (overrides the per-binary default).
     pub state_dir: Option<PathBuf>,
-    /// Disable engine-state checkpointing entirely.
-    pub no_state: bool,
     /// Fork points from persisted post-warmup checkpoints.
     pub warmup_fork: bool,
     /// Mid-measurement snapshot cadence in trace events (0 = off).
@@ -91,7 +90,6 @@ impl Default for HarnessOpts {
             interval: simtel::DEFAULT_INTERVAL_INSTRUCTIONS,
             bench_out: None,
             state_dir: None,
-            no_state: false,
             warmup_fork: false,
             snapshot_every: 0,
         }
@@ -179,9 +177,6 @@ impl HarnessOpts {
                 "--state-dir" => {
                     opts.state_dir = Some(it.next().expect("--state-dir needs a path").into());
                 }
-                "--no-state" => {
-                    opts.no_state = true;
-                }
                 "--warmup-fork" => {
                     opts.warmup_fork = true;
                 }
@@ -192,7 +187,7 @@ impl HarnessOpts {
                         .parse()
                         .expect("bad --snapshot-every");
                 }
-                other => panic!("unknown argument {other:?} (try --quick / --scale / --warmup / --measure / --only / --manifest / --no-manifest / --resume / --fail-fast / --watchdog-cpi / --no-watchdog / --state-dir / --no-state / --warmup-fork / --snapshot-every / --telemetry / --interval / --bench-out)"),
+                other => panic!("unknown argument {other:?} (try --quick / --scale / --warmup / --measure / --only / --manifest / --no-manifest / --resume / --fail-fast / --watchdog-cpi / --no-watchdog / --state-dir / --warmup-fork / --snapshot-every / --telemetry / --interval / --bench-out)"),
             }
         }
         opts.window = Window::new(
@@ -241,8 +236,8 @@ impl HarnessOpts {
         m.fail_fast = self.fail_fast;
         m.watchdog = self.watchdog;
         // Engine-state checkpoints: on when either layer is requested,
-        // under --state-dir or a per-binary default, unless --no-state.
-        if !self.no_state && (self.warmup_fork || self.snapshot_every > 0) {
+        // under --state-dir or a per-binary default.
+        if self.warmup_fork || self.snapshot_every > 0 {
             m.state_dir = Some(match &self.state_dir {
                 Some(dir) => dir.clone(),
                 None if tag.is_empty() => PathBuf::from("results/state"),
@@ -484,9 +479,8 @@ mod tests {
         let m = HarnessOpts::parse(args).matrix_options("fig7");
         assert_eq!(m.state_dir, Some(PathBuf::from("ckpt")));
 
-        // --no-state disables checkpointing wholesale.
-        let args: Vec<String> =
-            ["--warmup-fork", "--snapshot-every", "10", "--no-state"].map(String::from).into();
+        // --state-dir alone enables no layer, so it writes no state.
+        let args: Vec<String> = ["--state-dir", "ckpt"].map(String::from).into();
         let m = HarnessOpts::parse(args).matrix_options("fig7");
         assert_eq!(m.state_dir, None);
         assert!(!m.warmup_fork);

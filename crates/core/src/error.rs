@@ -1,18 +1,16 @@
-//! Structured error taxonomy for the simulation/runner path.
+//! Structured error taxonomy for the sweep executor.
 //!
-//! The sweep executor (`gpworkloads::matrix`) and the input decoders
-//! (`gpgraph::io`, `simcore::trace_io`) previously signalled failure by
-//! panicking (`expect`, `from_raw` contract panics), which meant one
-//! corrupt cache file or one pathological design point aborted a whole
-//! characterization campaign. [`SimError`] is the typed replacement: every
-//! fault a long sweep can hit has a variant carrying enough context to be
-//! reported in a manifest record and acted on by `--resume`.
+//! The sweep executor (`gpworkloads::matrix`) previously signalled failure
+//! by panicking, which meant one pathological design point aborted a
+//! whole characterization campaign. [`SimError`] is the typed
+//! replacement: every fault a long sweep can hit has a variant carrying
+//! enough context to be reported in a manifest record and acted on by
+//! `--resume`.
 //!
-//! Lower-layer crates keep their own narrow error types
-//! (`gpgraph::GraphIoError`, `simcore::trace_io::TraceIoError`) so they
-//! stay dependency-free; this taxonomy is where the runner path folds them
-//! together (see the `From` impls the `gpworkloads` crate applies via
-//! [`SimError::corrupt_graph`] / [`SimError::corrupt_trace`]).
+//! Decoders of persisted files keep their own narrow error types
+//! (`gpgraph::GraphIoError`, `simstate::StateError`, both carrying a
+//! `simstate::FrameError` for a damaged frame). They never reach this
+//! taxonomy: their callers warn, discard the file and regenerate it.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -50,25 +48,11 @@ pub enum SimError {
     ManifestIo { path: PathBuf, detail: String },
     /// A run-manifest line could not be parsed during `--resume`.
     ManifestParse { path: PathBuf, line: usize, detail: String },
-    /// A serialized trace failed decoding/validation.
-    CorruptTrace { detail: String },
-    /// A serialized graph failed decoding/validation.
-    CorruptGraph { detail: String },
     /// A configuration was structurally invalid.
     InvalidConfig { detail: String },
 }
 
 impl SimError {
-    /// Fold a graph-decoder error (rendered) into the taxonomy.
-    pub fn corrupt_graph(detail: impl fmt::Display) -> Self {
-        SimError::CorruptGraph { detail: detail.to_string() }
-    }
-
-    /// Fold a trace-decoder error (rendered) into the taxonomy.
-    pub fn corrupt_trace(detail: impl fmt::Display) -> Self {
-        SimError::CorruptTrace { detail: detail.to_string() }
-    }
-
     /// Manifest I/O failure at `path`.
     pub fn manifest_io(path: impl Into<PathBuf>, detail: impl fmt::Display) -> Self {
         SimError::ManifestIo { path: path.into(), detail: detail.to_string() }
@@ -101,8 +85,6 @@ impl fmt::Display for SimError {
             SimError::ManifestParse { path, line, detail } => {
                 write!(f, "manifest {}:{line}: {detail}", path.display())
             }
-            SimError::CorruptTrace { detail } => write!(f, "corrupt trace: {detail}"),
-            SimError::CorruptGraph { detail } => write!(f, "corrupt graph: {detail}"),
             SimError::InvalidConfig { detail } => write!(f, "invalid configuration: {detail}"),
         }
     }
@@ -147,14 +129,5 @@ mod tests {
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn helpers_fold_lower_layer_errors() {
-        assert_eq!(
-            SimError::corrupt_trace("checksum mismatch"),
-            SimError::CorruptTrace { detail: "checksum mismatch".into() }
-        );
-        assert!(SimError::corrupt_graph("bad magic").to_string().contains("bad magic"));
     }
 }

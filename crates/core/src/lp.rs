@@ -214,14 +214,6 @@ impl LargePredictor {
         self.stats.hierarchy_routes = r.get_u64()?;
         Ok(())
     }
-
-    /// Fraction of lookups routed to the SDC.
-    pub fn sdc_route_ratio(&self) -> f64 {
-        if self.stats.lookups == 0 {
-            return 0.0;
-        }
-        self.stats.sdc_routes as f64 / self.stats.lookups as f64
-    }
 }
 
 #[cfg(test)]

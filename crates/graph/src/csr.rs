@@ -39,14 +39,12 @@ impl Csr {
 
     /// Check all structural invariants.
     pub fn validate(&self) -> Result<(), String> {
-        if self.offsets.is_empty() {
+        let (Some(&first), Some(&last)) = (self.offsets.first(), self.offsets.last()) else {
             return Err("offset array must have at least one element".into());
-        }
-        if self.offsets[0] != 0 {
+        };
+        if first != 0 {
             return Err("offset array must start at 0".into());
         }
-        // Emptiness was rejected above, so direct indexing is safe.
-        let last = self.offsets[self.offsets.len() - 1];
         if last != self.neighbors.len() as u64 {
             return Err(format!("last offset {last} != neighbor count {}", self.neighbors.len()));
         }
@@ -54,7 +52,8 @@ impl Csr {
             return Err("offset array must be non-decreasing".into());
         }
         let v = self.num_vertices() as VertexId;
-        if let Some(&bad) = self.neighbors.iter().find(|&&n| n >= v) {
+        // The largest id is out of range exactly when any id is.
+        if let Some(bad) = self.neighbors.iter().copied().max().filter(|&max| max >= v) {
             return Err(format!("neighbor id {bad} out of range (V = {v})"));
         }
         Ok(())

@@ -1,47 +1,43 @@
-//! Graph serialization: a plain-text edge-list format (one `u v` pair per
-//! line, `#` comments) and a compact binary CSR format for caching the
-//! generated suite graphs between harness runs.
+//! The binary CSR format (`GPCSRv2`) that caches the generated suite
+//! graphs between harness runs: one [`simstate::frame`] whose payload is
+//! (all little-endian)
 //!
-//! All decode paths return the typed [`GraphIoError`] and never panic:
-//! a corrupt cache file (bad magic, truncation, non-monotone offsets,
-//! out-of-range edges) is a recoverable condition — the runner falls back
-//! to regenerating the graph.
+//! ```text
+//! [u64 vertices n] [u64 edges m] [(n+1) x u64 offsets] [m x u32 neighbor ids]
+//! ```
+//!
+//! The frame checksum catches what CSR validation cannot: a flipped bit
+//! that leaves a neighbor id in range. Decoding returns the typed
+//! [`GraphIoError`] and never panics: a corrupt or outdated (`GPCSRv1`)
+//! cache file is recoverable — the runner regenerates the graph.
 
-use crate::builder::{build_csr, BuildOptions};
 use crate::csr::{Csr, VertexId};
+use simstate::frame::{FrameError, FrameReader, FrameWriter, Magic};
 use std::fmt;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Magic bytes of the binary CSR format.
-const MAGIC: &[u8; 8] = b"GPCSRv1\0";
+const MAGIC: &Magic = b"GPCSRv2\0";
 
 /// Why a graph failed to decode.
 #[derive(Debug)]
 pub enum GraphIoError {
     /// Underlying I/O failure (not a format problem).
     Io(io::Error),
-    /// The file does not start with the CSR magic.
-    BadMagic,
-    /// The byte stream ended before the declared payload.
-    Truncated,
+    /// The file's frame is damaged or from another format version.
+    Frame(FrameError),
     /// The decoded arrays violate a CSR structural invariant
     /// (non-monotone offsets, out-of-range neighbor ids, bad bounds).
     InvalidCsr { detail: String },
-    /// An edge-list line did not parse as `src dst`.
-    BadLine { line: u64, content: String },
 }
 
 impl fmt::Display for GraphIoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GraphIoError::Io(e) => write!(f, "graph I/O error: {e}"),
-            GraphIoError::BadMagic => write!(f, "bad CSR magic"),
-            GraphIoError::Truncated => write!(f, "graph file is truncated"),
+            GraphIoError::Frame(e) => write!(f, "graph file frame: {e}"),
             GraphIoError::InvalidCsr { detail } => write!(f, "invalid CSR: {detail}"),
-            GraphIoError::BadLine { line, content } => {
-                write!(f, "edge list line {line}: cannot parse {content:?}")
-            }
         }
     }
 }
@@ -55,106 +51,73 @@ impl std::error::Error for GraphIoError {
     }
 }
 
-impl From<io::Error> for GraphIoError {
-    fn from(e: io::Error) -> Self {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            GraphIoError::Truncated
-        } else {
-            GraphIoError::Io(e)
+impl From<FrameError> for GraphIoError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Io(e) => GraphIoError::Io(e),
+            other => GraphIoError::Frame(other),
         }
     }
 }
 
-/// Parse an edge list from a reader. Lines starting with `#` or `%` are
-/// comments; each other line is `src dst` (whitespace-separated).
-pub fn read_edge_list<R: Read>(reader: R) -> Result<Vec<(VertexId, VertexId)>, GraphIoError> {
-    let mut edges = Vec::new();
-    let mut r = BufReader::new(reader);
-    let mut line = String::new();
-    let mut line_no: u64 = 0;
-    loop {
-        line.clear();
-        if r.read_line(&mut line)? == 0 {
-            break;
-        }
-        line_no += 1;
-        let l = line.trim();
-        if l.is_empty() || l.starts_with('#') || l.starts_with('%') {
-            continue;
-        }
-        let bad = || GraphIoError::BadLine { line: line_no, content: l.to_string() };
-        let mut it = l.split_whitespace();
-        let (Some(a), Some(b)) = (it.next(), it.next()) else {
-            return Err(bad());
-        };
-        let u: VertexId = a.parse().map_err(|_| bad())?;
-        let v: VertexId = b.parse().map_err(|_| bad())?;
-        edges.push((u, v));
-    }
-    Ok(edges)
-}
-
-/// Load a graph from an edge-list file.
-pub fn load_edge_list<P: AsRef<Path>>(path: P, opts: BuildOptions) -> Result<Csr, GraphIoError> {
-    let edges = read_edge_list(std::fs::File::open(path)?)?;
-    let n = edges.iter().map(|&(u, v)| u.max(v) as usize + 1).max().unwrap_or(0);
-    Ok(build_csr(n, &edges, opts))
-}
-
-/// Write a graph as a text edge list.
-pub fn write_edge_list<W: Write>(g: &Csr, writer: W) -> io::Result<()> {
-    let mut w = BufWriter::new(writer);
-    writeln!(w, "# {} vertices, {} edges", g.num_vertices(), g.num_edges())?;
-    for (u, v) in g.edges() {
-        writeln!(w, "{u} {v}")?;
-    }
-    w.flush()
+/// Payload bytes of a graph with `n` vertices and `m` edges (`None` when
+/// the counts cannot describe a real graph).
+fn payload_len(n: u64, m: u64) -> Option<u64> {
+    n.checked_add(1)?.checked_mul(8)?.checked_add(m.checked_mul(4)?)?.checked_add(16)
 }
 
 /// Serialize a CSR in the compact binary format.
 pub fn write_binary<W: Write>(g: &Csr, writer: W) -> io::Result<()> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(MAGIC)?;
-    w.write_all(&(g.num_vertices() as u64).to_le_bytes())?;
-    w.write_all(&(g.num_edges() as u64).to_le_bytes())?;
+    let (n, m) = (g.num_vertices() as u64, g.num_edges() as u64);
+    let len = payload_len(n, m).ok_or_else(|| io::Error::other("graph too large to frame"))?;
+    let mut frame = FrameWriter::new(BufWriter::new(writer), MAGIC, len)?;
+    frame.put(&n.to_le_bytes())?;
+    frame.put(&m.to_le_bytes())?;
     for &o in g.offsets() {
-        w.write_all(&o.to_le_bytes())?;
+        frame.put(&o.to_le_bytes())?;
     }
-    for &n in g.raw_neighbors() {
-        w.write_all(&n.to_le_bytes())?;
+    for &v in g.raw_neighbors() {
+        frame.put(&v.to_le_bytes())?;
     }
-    w.flush()
+    frame.finish()
 }
 
-/// Deserialize a CSR from the compact binary format, validating every
-/// structural invariant (monotone offsets, in-range neighbor ids) before
-/// the graph is handed to any kernel.
-pub fn read_binary<R: Read>(reader: R) -> Result<Csr, GraphIoError> {
-    let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(GraphIoError::BadMagic);
+/// Read `count` little-endian `N`-byte words. The capacity hint is
+/// clamped so a corrupt count cannot reserve an absurd allocation; the
+/// vector grows past it only as bytes actually arrive.
+fn read_words<R: Read, T, const N: usize>(
+    r: &mut FrameReader<R>,
+    count: u64,
+    word: fn([u8; N]) -> T,
+) -> Result<Vec<T>, GraphIoError> {
+    const CHUNK_WORDS: usize = 8192;
+    let mut out = Vec::with_capacity(usize::try_from(count).unwrap_or(usize::MAX).min(1 << 26));
+    let mut chunk = vec![0u8; CHUNK_WORDS * N];
+    let mut left = count;
+    while left > 0 {
+        let words = usize::try_from(left).unwrap_or(usize::MAX).min(CHUNK_WORDS);
+        chunk.truncate(words * N);
+        r.read_exact(&mut chunk)?;
+        // `chunks_exact` yields only `N`-byte slices, so every conversion succeeds.
+        out.extend(chunk.chunks_exact(N).filter_map(|c| c.try_into().ok()).map(word));
+        left -= words as u64;
     }
-    let mut buf8 = [0u8; 8];
-    r.read_exact(&mut buf8)?;
-    let v = u64::from_le_bytes(buf8) as usize;
-    r.read_exact(&mut buf8)?;
-    let e = u64::from_le_bytes(buf8) as usize;
+    Ok(out)
+}
 
-    // Capacity hints are clamped so a corrupt header cannot force an
-    // absurd up-front allocation; truncation is caught by read_exact.
-    let mut offsets = Vec::with_capacity(v.min(1 << 24) + 1);
-    for _ in 0..=v {
-        r.read_exact(&mut buf8)?;
-        offsets.push(u64::from_le_bytes(buf8));
+/// Deserialize a CSR from the compact binary format, verifying the frame
+/// and then every structural invariant (monotone offsets, in-range
+/// neighbor ids) before the graph is handed to any kernel.
+pub fn read_binary<R: Read>(reader: R) -> Result<Csr, GraphIoError> {
+    let mut frame = FrameReader::open(BufReader::new(reader), MAGIC, u64::MAX)?;
+    let (n, m, len) = (frame.read_u64()?, frame.read_u64()?, frame.payload_len());
+    if payload_len(n, m) != Some(len) {
+        let detail = format!("a {len}-byte payload cannot hold {n} vertices and {m} edges");
+        return Err(GraphIoError::InvalidCsr { detail });
     }
-    let mut buf4 = [0u8; 4];
-    let mut neighbors = Vec::with_capacity(e.min(1 << 26));
-    for _ in 0..e {
-        r.read_exact(&mut buf4)?;
-        neighbors.push(VertexId::from_le_bytes(buf4));
-    }
+    let offsets = read_words(&mut frame, n + 1, u64::from_le_bytes)?;
+    let neighbors = read_words(&mut frame, m, VertexId::from_le_bytes)?;
+    frame.finish()?;
     Csr::try_from_raw(offsets, neighbors).map_err(|detail| GraphIoError::InvalidCsr { detail })
 }
 
@@ -164,76 +127,92 @@ pub fn save<P: AsRef<Path>>(g: &Csr, path: P) -> io::Result<()> {
 }
 
 pub fn load<P: AsRef<Path>>(path: P) -> Result<Csr, GraphIoError> {
-    read_binary(std::fs::File::open(path)?)
+    read_binary(std::fs::File::open(path).map_err(GraphIoError::Io)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::kron;
+    use crate::gen::{kron, urand};
 
-    #[test]
-    fn edge_list_round_trip() {
-        let g = Csr::from_raw(vec![0, 2, 3, 4, 5], vec![1, 2, 2, 0, 2]);
+    fn encoded(g: &Csr) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        let edges = read_edge_list(&buf[..]).unwrap();
-        assert_eq!(edges, vec![(0, 1), (0, 2), (1, 2), (2, 0), (3, 2)]);
+        write_binary(g, &mut buf).unwrap();
+        buf
     }
 
-    #[test]
-    fn edge_list_skips_comments_and_blank_lines() {
-        let text = "# comment\n% matrix-market comment\n\n0 1\n 2 3 \n";
-        let edges = read_edge_list(text.as_bytes()).unwrap();
-        assert_eq!(edges, vec![(0, 1), (2, 3)]);
-    }
-
-    #[test]
-    fn edge_list_rejects_garbage_with_line_numbers() {
-        match read_edge_list("0 1\n0 x\n".as_bytes()) {
-            Err(GraphIoError::BadLine { line, content }) => {
-                assert_eq!(line, 2);
-                assert_eq!(content, "0 x");
-            }
-            other => panic!("expected BadLine, got {other:?}"),
-        }
-        assert!(read_edge_list("justone\n".as_bytes()).is_err());
+    /// A correctly framed payload carrying arbitrary (possibly invalid)
+    /// CSR arrays.
+    fn framed_arrays(offsets: &[u64], neighbors: &[u32]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        payload.extend((offsets.len() as u64 - 1).to_le_bytes());
+        payload.extend((neighbors.len() as u64).to_le_bytes());
+        offsets.iter().for_each(|o| payload.extend(o.to_le_bytes()));
+        neighbors.iter().for_each(|v| payload.extend(v.to_le_bytes()));
+        let mut buf = Vec::new();
+        simstate::frame::write_frame(&mut buf, MAGIC, &payload).unwrap();
+        buf
     }
 
     #[test]
     fn binary_round_trip() {
         let g = kron(8, 4, 99);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(&buf[..]).unwrap();
-        assert_eq!(g, g2);
+        assert_eq!(read_binary(&encoded(&g)[..]).unwrap(), g);
     }
 
     #[test]
-    fn binary_rejects_bad_magic() {
-        let buf = b"NOTCSRXXrestofdata".to_vec();
-        assert!(matches!(read_binary(&buf[..]), Err(GraphIoError::BadMagic)));
+    fn golden_bytes_pin_the_gpcsrv2_encoding() {
+        let g = Csr::from_raw(vec![0, 2, 3, 3], vec![1, 2, 0]);
+        let hex: String = encoded(&g).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "47504353527632003c00000000000000030000000000000003000000000000000000000000000000\
+             0200000000000000030000000000000003000000000000000100000002000000000000003c000000\
+             0000000018ebf5feac09116b"
+        );
+    }
+
+    #[test]
+    fn binary_rejects_bad_magic_and_gpcsrv1_files() {
+        let mut buf = encoded(&kron(6, 2, 1));
+        buf[..8].copy_from_slice(b"NOTCSRXX");
+        assert!(matches!(
+            read_binary(&buf[..]),
+            Err(GraphIoError::Frame(FrameError::BadMagic { .. }))
+        ));
+        buf[..8].copy_from_slice(b"GPCSRv1\0");
+        assert!(matches!(
+            read_binary(&buf[..]),
+            Err(GraphIoError::Frame(FrameError::UnsupportedVersion { .. }))
+        ));
     }
 
     #[test]
     fn binary_rejects_truncation() {
-        let g = kron(6, 2, 1);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
+        let mut buf = encoded(&kron(6, 2, 1));
         buf.truncate(buf.len() - 3);
-        assert!(matches!(read_binary(&buf[..]), Err(GraphIoError::Truncated)));
+        assert!(matches!(read_binary(&buf[..]), Err(GraphIoError::Frame(FrameError::Truncated))));
     }
 
-    /// A cache file with an out-of-range neighbor id must come back as a
-    /// typed error — this used to panic through `Csr::from_raw`.
+    /// A flipped bit that keeps a neighbor id in range passes every CSR
+    /// check; only the frame checksum catches it.
+    #[test]
+    fn binary_rejects_an_in_range_neighbor_bit_flip() {
+        let g = urand(64, 4, 7);
+        let mut buf = encoded(&g);
+        let last_id = buf.len() - 16 - 4;
+        buf[last_id] ^= 0x01;
+        assert!(matches!(
+            read_binary(&buf[..]),
+            Err(GraphIoError::Frame(FrameError::ChecksumMismatch { .. }))
+        ));
+    }
+
+    /// A well-framed file with an out-of-range neighbor id must come back
+    /// as a typed error — this used to panic through `Csr::from_raw`.
     #[test]
     fn binary_rejects_out_of_range_edge_without_panicking() {
-        let g = kron(6, 2, 1);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        // Overwrite the last neighbor id with a vertex far out of range.
-        let n = buf.len();
-        buf[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let buf = framed_arrays(&[0, 2, 3, 4, 5], &[1, 2, 2, 0, u32::MAX]);
         match read_binary(&buf[..]) {
             Err(GraphIoError::InvalidCsr { detail }) => {
                 assert!(detail.contains("out of range"), "detail: {detail}");
@@ -245,20 +224,35 @@ mod tests {
     /// Non-monotone offsets are likewise a typed error, not a panic.
     #[test]
     fn binary_rejects_non_monotone_offsets() {
-        let g = Csr::from_raw(vec![0, 2, 3, 4, 5], vec![1, 2, 2, 0, 2]);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        // Offsets start at byte 24; make the second offset huge.
-        buf[32..40].copy_from_slice(&u64::MAX.to_le_bytes());
+        let buf = framed_arrays(&[0, u64::MAX, 3, 4, 5], &[1, 2, 2, 0, 2]);
         assert!(matches!(read_binary(&buf[..]), Err(GraphIoError::InvalidCsr { .. })));
     }
 
     #[test]
     fn corrupt_header_counts_cannot_force_huge_allocation() {
-        let g = kron(6, 2, 1);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
+        let mut buf = encoded(&kron(6, 2, 1));
+        buf[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(read_binary(&buf[..]), Err(GraphIoError::InvalidCsr { .. })));
+        let mut buf = encoded(&kron(6, 2, 1));
         buf[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(read_binary(&buf[..]).is_err());
+    }
+
+    #[test]
+    fn save_load_round_trips_and_rejects_a_corrupt_file() {
+        let dir = std::env::temp_dir().join(format!("gpgraph-io-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.csr");
+        let g = urand(64, 4, 7);
+        save(&g, &path).unwrap();
+        assert_eq!(load(&path).unwrap(), g);
+
+        let mut bytes = std::fs::read(&path).unwrap();
+        let n = bytes.len();
+        bytes[n - 20..n - 16].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(load(&path).is_err());
+        assert!(matches!(load(dir.join("missing.csr")), Err(GraphIoError::Io(_))));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

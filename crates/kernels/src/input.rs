@@ -25,15 +25,6 @@ impl KernelInput {
         KernelInput { csr: Arc::new(g), csc }
     }
 
-    /// Load a kernel input from a binary CSR cache file, treating the
-    /// graph as symmetric (the suite convention). Every structural CSR
-    /// invariant is validated during decode, so a corrupt or truncated
-    /// cache file surfaces as a typed [`gpgraph::GraphIoError`] here —
-    /// never as an out-of-bounds panic deep inside a kernel sweep.
-    pub fn from_csr_file(path: &std::path::Path) -> Result<Self, gpgraph::GraphIoError> {
-        Ok(KernelInput::from_symmetric(gpgraph::io::load(path)?))
-    }
-
     pub fn num_vertices(&self) -> usize {
         self.csr.num_vertices()
     }
@@ -75,25 +66,6 @@ mod tests {
         let input = KernelInput::from_directed(g);
         assert_eq!(input.csc.neighbors(1), &[0]);
         assert_eq!(input.csc.neighbors(2), &[1]);
-    }
-
-    #[test]
-    fn from_csr_file_round_trips_and_rejects_corruption() {
-        let dir = std::env::temp_dir().join("gpkernels-input-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.csr");
-        let g = gpgraph::gen::urand(64, 4, 7);
-        gpgraph::io::save(&g, &path).unwrap();
-        let input = KernelInput::from_csr_file(&path).unwrap();
-        assert_eq!(input.num_vertices(), 64);
-
-        // Corrupt a neighbor id: decoding must fail with a typed error.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let n = bytes.len();
-        bytes[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(KernelInput::from_csr_file(&path).is_err());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -40,12 +40,6 @@ pub fn page_of(addr: u64) -> u64 {
     addr >> PAGE_BITS
 }
 
-/// Byte offset of `addr` within its block.
-#[inline(always)]
-pub fn block_offset(addr: u64) -> u64 {
-    addr & BLOCK_OFFSET_MASK
-}
-
 /// Word index (8-byte granularity) of `addr` within its block.
 ///
 /// Used by the Line Distillation baseline, which tracks per-word usage.

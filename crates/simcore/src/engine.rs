@@ -424,7 +424,7 @@ impl<M: MemorySystem> Engine<M> {
         Ok(())
     }
 
-    /// One-call snapshot: the serialized payload for an `SSTATEv1`
+    /// One-call snapshot: the serialized state for an `SSTATEv2`
     /// container.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = simstate::StateSink::new();

@@ -64,13 +64,6 @@ impl MshrFile {
         self.done.iter().filter(|&&d| d > now).count()
     }
 
-    /// Is there a free slot at `now`? Prefetchers must check this before
-    /// issuing: a prefetch needs an MSHR like any other miss and is
-    /// dropped when the file is demand-saturated.
-    pub fn has_free(&self, now: u64) -> bool {
-        self.outstanding(now) < self.capacity
-    }
-
     /// Non-blocking acquire for prefetches: returns false (drop the
     /// prefetch) when the file is full or the block is already in flight.
     /// On success the caller must [`MshrFile::commit`] the completion so

@@ -138,7 +138,7 @@ impl<C: CoreMemory> MulticoreRun<C> {
 
     /// Total scheduler steps consumed so far (one trace event per step),
     /// summed over cores. Deterministic, so it doubles as the snapshot
-    /// position carried in the `SSTATEv1` header.
+    /// position carried in the `SSTATEv2` identity.
     pub fn steps(&self) -> u64 {
         self.cores.iter().map(|c| c.consumed).sum()
     }
@@ -332,7 +332,7 @@ impl<C: CoreMemory> MulticoreRun<C> {
         self.engine.backend.load_state(r)
     }
 
-    /// One-call snapshot payload for an `SSTATEv1` container.
+    /// One-call snapshot state for an `SSTATEv2` container.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = simstate::StateSink::new();
         self.save_state(&mut w);

@@ -135,15 +135,6 @@ impl TraceEvent {
         self.flags & Self::FLAG_WRITE != 0
     }
 
-    /// Number of instructions this event represents.
-    pub fn instr_count(&self) -> u64 {
-        if self.is_mem() {
-            1
-        } else {
-            self.addr
-        }
-    }
-
     pub fn as_mem_ref(&self) -> MemRef {
         debug_assert!(self.is_mem());
         MemRef {
@@ -311,9 +302,10 @@ mod tests {
         assert_eq!(trace.instructions, 10);
         // coalesced: [bubble(7), mem, bubble(2)]
         assert_eq!(trace.len(), 3);
-        assert_eq!(trace.events[0].instr_count(), 7);
+        // A bubble event carries its instruction count in `addr`.
+        assert!(!trace.events[0].is_mem() && trace.events[0].addr == 7);
         assert!(trace.events[1].is_mem());
-        assert_eq!(trace.events[2].instr_count(), 2);
+        assert!(!trace.events[2].is_mem() && trace.events[2].addr == 2);
     }
 
     #[test]

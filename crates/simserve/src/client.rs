@@ -5,7 +5,6 @@ use crate::proto::{
     self, CacheStatsMsg, RecordMsg, Request, Response, StatusMsg, SubmitSpec, SweepSummary,
 };
 use crate::ServeError;
-use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 
@@ -75,7 +74,6 @@ impl Client {
     fn roundtrip(&self, req: &Request) -> Result<(UnixStream, Response), ServeError> {
         let mut stream = UnixStream::connect(&self.socket)?;
         proto::send_request(&mut stream, req)?;
-        stream.flush()?;
         let rsp = proto::recv_response(&mut stream)?;
         if let Response::Error { code, detail } = rsp {
             return Err(ServeError::Rejected { code, detail });

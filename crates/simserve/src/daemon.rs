@@ -26,8 +26,8 @@
 
 use crate::cache::{CachedPoint, Claim, ResultCache, RunnerPool};
 use crate::proto::{
-    self, CacheStatsMsg, ErrorCode, PointSpec, RecordMsg, Request, Response, StatusMsg, SubmitSpec,
-    SweepSummary,
+    self, send_response, CacheStatsMsg, ErrorCode, PointSpec, RecordMsg, Request, Response,
+    StatusMsg, SubmitSpec, SweepSummary,
 };
 use gpgraph::SuiteScale;
 use gpworkloads::matrix::{MatrixOptions, MatrixPoint, SystemSpec, Watchdog};
@@ -35,7 +35,6 @@ use gpworkloads::singlecore::Workload;
 use gpworkloads::{find_scale, find_system, find_workload, Runner};
 use simcore::Window;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -365,27 +364,22 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: UnixStream) {
                 code: ErrorCode::BadRequest,
                 detail: format!("malformed request frame: {e}"),
             };
-            let _ = proto::send_response(&mut stream, &rsp);
+            let _ = send_response(&mut stream, &rsp);
             return;
         }
     };
     let result = match req {
         Request::Submit(spec) => handle_submit(shared, &mut stream, spec),
-        Request::Status => respond(&mut stream, &Response::StatusInfo(status_msg(shared))),
+        Request::Status => send_response(&mut stream, &Response::StatusInfo(status_msg(shared))),
         Request::CacheStats => {
-            respond(&mut stream, &Response::CacheStatsInfo(cache_stats_msg(shared)))
+            send_response(&mut stream, &Response::CacheStatsInfo(cache_stats_msg(shared)))
         }
-        Request::Results { sweep } => respond(&mut stream, &results_msg(shared, sweep)),
+        Request::Results { sweep } => send_response(&mut stream, &results_msg(shared, sweep)),
         Request::Shutdown => handle_shutdown(shared, &mut stream),
     };
     if let Err(e) = result {
         shared.log(&format!("connection ended early: {e}"));
     }
-}
-
-fn respond(stream: &mut UnixStream, rsp: &Response) -> Result<(), proto::ProtoError> {
-    proto::send_response(stream, rsp)?;
-    stream.flush().map_err(proto::ProtoError::from)
 }
 
 fn status_msg(shared: &Shared) -> StatusMsg {
@@ -444,7 +438,7 @@ fn handle_submit(
     let (plan, resolved) = match resolve_submission(shared, &spec) {
         Ok(v) => v,
         Err(detail) => {
-            return respond(stream, &Response::Error { code: ErrorCode::BadRequest, detail })
+            return send_response(stream, &Response::Error { code: ErrorCode::BadRequest, detail })
         }
     };
     if resolved.len() > shared.cfg.queue_limit {
@@ -453,7 +447,7 @@ fn handle_submit(
             resolved.len(),
             shared.cfg.queue_limit
         );
-        return respond(stream, &Response::Error { code: ErrorCode::QueueFull, detail });
+        return send_response(stream, &Response::Error { code: ErrorCode::QueueFull, detail });
     }
     let total = resolved.len() as u32;
     let shards = shard_points(resolved);
@@ -463,7 +457,7 @@ fn handle_submit(
         let mut s = lock_sched(shared);
         if s.draining || s.stopped {
             drop(s);
-            return respond(
+            return send_response(
                 stream,
                 &Response::Error {
                     code: ErrorCode::Draining,
@@ -494,7 +488,7 @@ fn handle_submit(
     shared.work_cv.notify_all();
     shared.log(&format!("sweep {sweep}: accepted {total} point(s)"));
 
-    if let Err(e) = respond(stream, &Response::Submitted { sweep, points: total }) {
+    if let Err(e) = send_response(stream, &Response::Submitted { sweep, points: total }) {
         cancel_sweep(shared, sweep);
         return Err(e);
     }
@@ -505,7 +499,7 @@ fn handle_submit(
             SweepEvent::Record(rec) => (Response::Record(rec), false),
             SweepEvent::Done(summary) => (Response::SweepDone(summary), true),
         };
-        if let Err(e) = respond(stream, &rsp) {
+        if let Err(e) = send_response(stream, &rsp) {
             // Client vanished mid-stream: cancel what has not started.
             cancel_sweep(shared, sweep);
             return Err(e);
@@ -613,7 +607,7 @@ fn handle_shutdown(shared: &Arc<Shared>, stream: &mut UnixStream) -> Result<(), 
     // `draining` already rejects new submissions, so nothing restarts
     // between the drain above and the stop below. Stop even if the
     // client vanished mid-reply.
-    let reply = respond(stream, &Response::ShutdownComplete { drained_points: drained });
+    let reply = send_response(stream, &Response::ShutdownComplete { drained_points: drained });
     lock_sched(shared).stopped = true;
     shared.work_cv.notify_all();
     // The accept loop blocks in accept(); a self-connect wakes it so it

@@ -23,11 +23,12 @@
 //!   `simstate` checkpoint store, so even cache *misses* skip warmup
 //!   replay when a fork for their class exists.
 //!
-//! The wire format ([`proto`]) is hand-rolled in the SSTATEv1/GPTRCv2
-//! idiom — length-prefixed, checksummed frames over `SocketAddr`-free
-//! blocking I/O — because the vendored serde has no deserializer and the
-//! simulator stack bans wall-clock anyway (no timeouts: liveness comes
-//! from blocking reads plus a self-connect wakeup on shutdown).
+//! The wire format ([`proto`], `SRV2`) is hand-rolled: messages travel in
+//! the same checksummed `simstate::frame` that snapshots and the graph
+//! cache use, over `SocketAddr`-free blocking I/O, because the vendored
+//! serde has no deserializer and the simulator stack bans wall-clock
+//! anyway (no timeouts: liveness comes from blocking reads plus a
+//! self-connect wakeup on shutdown).
 //!
 //! Faults stay contained at three radii: a panicking point becomes a
 //! `failed` record (the executor's `catch_unwind`), a runaway point is

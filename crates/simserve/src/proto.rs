@@ -1,20 +1,14 @@
-//! The wire protocol: length-prefixed, checksummed frames carrying
-//! hand-rolled request/response messages.
+//! The wire protocol: checksummed frames carrying hand-rolled
+//! request/response messages.
 //!
-//! ## Frame layout (`SRV1`)
+//! ## Frames (`SRV2`)
 //!
-//! ```text
-//! +--------+----------+-----------+-----------+------------+
-//! | magic  | len: u32 |  payload  | echo: u32 | fnv1a: u64 |
-//! | "SRV1" |  (LE)    | len bytes |  (LE)     |  (LE)      |
-//! +--------+----------+-----------+-----------+------------+
-//! ```
-//!
-//! The trailing length echo and FNV-1a checksum follow the SSTATEv1
-//! container idiom: a truncated or bit-flipped frame fails with a typed
+//! Every message travels in one [`simstate::frame`] with the magic
+//! [`FRAME_MAGIC`]: a truncated or bit-flipped frame fails with a typed
 //! [`ProtoError`] before any message decoding runs, and the length is
 //! bounded by [`MAX_FRAME_BYTES`] before any allocation happens, so a
-//! corrupt header cannot ask the daemon for gigabytes.
+//! corrupt header cannot ask the daemon for gigabytes. A peer still
+//! speaking `SRV1` fails as an unsupported version.
 //!
 //! ## Messages
 //!
@@ -24,11 +18,12 @@
 //! Every decode is bounds-checked, domain-checked, and must consume the
 //! payload exactly.
 
-use simstate::{Fnv1a, StateError, StateSink, StateSource};
-use std::io::{Read, Write};
+use simstate::frame::{self, FrameError, Magic};
+use simstate::{StateError, StateSink, StateSource};
+use std::io::{BufWriter, Read, Write};
 
 /// Frame magic: protocol name + version.
-pub const FRAME_MAGIC: [u8; 4] = *b"SRV1";
+pub const FRAME_MAGIC: Magic = *b"SRV2\0\0\0\0";
 
 /// Hard ceiling on a frame payload. A fig7-scale submission is a few KiB
 /// and a streamed record with telemetry a few hundred KiB; 16 MiB leaves
@@ -47,17 +42,9 @@ pub const MAX_POINTS: usize = 65_536;
 pub enum ProtoError {
     /// Socket-level I/O failed mid-frame.
     Io(std::io::Error),
-    /// The first four bytes were not [`FRAME_MAGIC`] — not a simserve
-    /// peer, or a desynchronized stream.
-    BadMagic { found: [u8; 4] },
-    /// The header length exceeds [`MAX_FRAME_BYTES`].
-    Oversized { len: u64, max: u64 },
-    /// The stream ended inside a frame.
-    Truncated,
-    /// Header and footer disagree about the payload length.
-    LengthMismatch { header: u32, footer: u32 },
-    /// The payload does not hash to the stored checksum.
-    ChecksumMismatch { stored: u64, computed: u64 },
+    /// The frame is damaged, oversized, from another protocol version, or
+    /// not a simserve frame at all (a desynchronized stream).
+    Frame(FrameError),
     /// The frame was sound but the message inside failed to decode.
     BadMessage(String),
 }
@@ -66,20 +53,7 @@ impl std::fmt::Display for ProtoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ProtoError::Io(e) => write!(f, "frame i/o: {e}"),
-            ProtoError::BadMagic { found } => {
-                write!(f, "bad frame magic {found:02x?} (want {FRAME_MAGIC:02x?})")
-            }
-            ProtoError::Oversized { len, max } => {
-                write!(f, "frame payload of {len} bytes exceeds the {max}-byte bound")
-            }
-            ProtoError::Truncated => write!(f, "stream ended mid-frame"),
-            ProtoError::LengthMismatch { header, footer } => {
-                write!(f, "frame length echo mismatch (header {header}, footer {footer})")
-            }
-            ProtoError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "frame checksum mismatch (stored {stored:016x}, computed {computed:016x})"
-            ),
+            ProtoError::Frame(e) => write!(f, "bad frame: {e}"),
             ProtoError::BadMessage(detail) => write!(f, "undecodable message: {detail}"),
         }
     }
@@ -87,12 +61,11 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-impl From<std::io::Error> for ProtoError {
-    fn from(e: std::io::Error) -> Self {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            ProtoError::Truncated
-        } else {
-            ProtoError::Io(e)
+impl From<FrameError> for ProtoError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Io(e) => ProtoError::Io(e),
+            other => ProtoError::Frame(other),
         }
     }
 }
@@ -103,81 +76,28 @@ impl From<StateError> for ProtoError {
     }
 }
 
-/// Write one frame around `payload`.
+/// Write one frame around `payload` and flush, in as few socket writes
+/// as the payload size allows.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError> {
     if payload.len() > MAX_FRAME_BYTES {
-        return Err(ProtoError::Oversized {
-            len: payload.len() as u64,
-            max: MAX_FRAME_BYTES as u64,
-        });
+        let (len, max) = (payload.len() as u64, MAX_FRAME_BYTES as u64);
+        return Err(FrameError::Oversized { len, max }.into());
     }
-    let mut sum = Fnv1a::new();
-    sum.update(payload);
-    let len = payload.len() as u32;
-    let mut buf = Vec::with_capacity(payload.len() + 20);
-    buf.extend_from_slice(&FRAME_MAGIC);
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&sum.finish().to_le_bytes());
-    w.write_all(&buf)?;
-    w.flush()?;
-    Ok(())
+    frame::write_frame(BufWriter::new(w), &FRAME_MAGIC, payload).map_err(ProtoError::Io)
 }
 
 /// Read one frame, verifying magic, bound, length echo, and checksum.
 /// A stream that ends *before* the first magic byte returns `Ok(None)`
-/// (the peer closed cleanly between frames); any later end is
-/// [`ProtoError::Truncated`].
-// simlint::allow(panic-path): the manual read loop slices magic[got..] only while got < magic.len() (the loop condition), so the range start is always in bounds
+/// (the peer closed cleanly between frames); any later end is a
+/// truncated frame.
 pub fn read_frame_opt(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
-    let mut magic = [0u8; 4];
-    let mut got = 0;
-    while got < magic.len() {
-        match r.read(&mut magic[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(ProtoError::Truncated),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
-    }
-    if magic != FRAME_MAGIC {
-        return Err(ProtoError::BadMagic { found: magic });
-    }
-    let mut len4 = [0u8; 4];
-    r.read_exact(&mut len4)?;
-    let len = u32::from_le_bytes(len4);
-    if len as usize > MAX_FRAME_BYTES {
-        return Err(ProtoError::Oversized { len: u64::from(len), max: MAX_FRAME_BYTES as u64 });
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let mut footer = [0u8; 12];
-    r.read_exact(&mut footer)?;
-    let echo = u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]);
-    if echo != len {
-        return Err(ProtoError::LengthMismatch { header: len, footer: echo });
-    }
-    let stored = u64::from_le_bytes([
-        footer[4], footer[5], footer[6], footer[7], footer[8], footer[9], footer[10], footer[11],
-    ]);
-    let mut sum = Fnv1a::new();
-    sum.update(&payload);
-    let computed = sum.finish();
-    if stored != computed {
-        return Err(ProtoError::ChecksumMismatch { stored, computed });
-    }
-    Ok(Some(payload))
+    Ok(frame::read_frame_opt(r, &FRAME_MAGIC, MAX_FRAME_BYTES as u64)?)
 }
 
 /// [`read_frame_opt`] for callers that require a frame (mid-stream, a
 /// clean close is itself a truncation).
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
-    match read_frame_opt(r)? {
-        Some(payload) => Ok(payload),
-        None => Err(ProtoError::Truncated),
-    }
+    read_frame_opt(r)?.ok_or(ProtoError::Frame(FrameError::Truncated))
 }
 
 fn put_str(sink: &mut StateSink, s: &str) {

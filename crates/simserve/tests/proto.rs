@@ -5,6 +5,7 @@ use simserve::proto::{
     self, CacheStatsMsg, ErrorCode, PointSpec, ProtoError, RecordMsg, Request, Response, StatusMsg,
     SubmitSpec, SweepSummary, MAX_FRAME_BYTES, MAX_POINTS,
 };
+use simstate::FrameError;
 use std::io::Cursor;
 
 fn framed(payload: &[u8]) -> Vec<u8> {
@@ -121,13 +122,19 @@ fn clean_eof_before_any_byte_is_none_not_an_error() {
 }
 
 #[test]
+fn golden_bytes_pin_the_srv2_frame() {
+    let hex: String = framed(b"ping").iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, "5352563200000000040000000000000070696e670400000000000000b5b74fd3d2f185a6");
+}
+
+#[test]
 fn truncation_at_every_boundary_is_a_typed_truncated_error() {
     let wire = framed(b"hello, sweep");
     // Cutting the stream anywhere after the first magic byte must yield
     // Truncated — never a panic, a short read, or a bogus frame.
     for cut in 1..wire.len() {
         match proto::read_frame_opt(&mut Cursor::new(&wire[..cut])) {
-            Err(ProtoError::Truncated) => {}
+            Err(ProtoError::Frame(FrameError::Truncated)) => {}
             other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
         }
     }
@@ -138,9 +145,24 @@ fn corrupt_magic_is_rejected_with_the_found_bytes() {
     let mut wire = framed(b"payload");
     wire[0] = b'X';
     match proto::read_frame_opt(&mut Cursor::new(&wire)) {
-        Err(ProtoError::BadMagic { found }) => assert_eq!(&found, b"XRV1"),
+        Err(ProtoError::Frame(FrameError::BadMagic { found })) => {
+            assert_eq!(&found, b"XRV2\0\0\0\0")
+        }
         other => panic!("expected BadMagic, got {other:?}"),
     }
+}
+
+#[test]
+fn an_srv1_peer_is_an_unsupported_version() {
+    // SRV1 framed a 4-byte magic and a u32 length.
+    let mut wire = b"SRV1".to_vec();
+    wire.extend_from_slice(&7u32.to_le_bytes());
+    wire.extend_from_slice(b"payload");
+    wire.extend_from_slice(&[0; 12]);
+    assert!(matches!(
+        proto::read_frame_opt(&mut Cursor::new(&wire)),
+        Err(ProtoError::Frame(FrameError::UnsupportedVersion { .. }))
+    ));
 }
 
 #[test]
@@ -148,12 +170,12 @@ fn payload_corruption_is_caught_by_the_checksum() {
     let payload = b"the daemon's answer";
     let wire = framed(payload);
     // Flip one payload bit (the payload starts after magic + length).
-    let payload_start = 8;
+    let payload_start = 16;
     for i in 0..payload.len() {
         let mut bad = wire.clone();
         bad[payload_start + i] ^= 0x20;
         match proto::read_frame_opt(&mut Cursor::new(&bad)) {
-            Err(ProtoError::ChecksumMismatch { stored, computed }) => {
+            Err(ProtoError::Frame(FrameError::ChecksumMismatch { stored, computed })) => {
                 assert_ne!(stored, computed);
             }
             other => panic!("flip at {i}: expected ChecksumMismatch, got {other:?}"),
@@ -170,11 +192,11 @@ fn payload_corruption_is_caught_by_the_checksum() {
 fn length_echo_mismatch_is_its_own_error() {
     let wire = framed(b"four");
     // The footer length-echo sits right after the payload.
-    let echo_at = 8 + 4;
+    let echo_at = 16 + 4;
     let mut bad = wire.clone();
     bad[echo_at] ^= 0xFF;
     match proto::read_frame_opt(&mut Cursor::new(&bad)) {
-        Err(ProtoError::LengthMismatch { header, footer }) => {
+        Err(ProtoError::Frame(FrameError::LengthMismatch { header, footer })) => {
             assert_eq!(header, 4);
             assert_ne!(header, footer);
         }
@@ -185,15 +207,20 @@ fn length_echo_mismatch_is_its_own_error() {
 #[test]
 fn oversized_frame_header_is_rejected_before_allocation() {
     let mut wire = Vec::new();
-    wire.extend_from_slice(b"SRV1");
-    wire.extend_from_slice(&(u32::MAX).to_le_bytes());
+    wire.extend_from_slice(&proto::FRAME_MAGIC);
+    wire.extend_from_slice(&u64::MAX.to_le_bytes());
     match proto::read_frame_opt(&mut Cursor::new(&wire)) {
-        Err(ProtoError::Oversized { len, max }) => {
-            assert_eq!(len, u64::from(u32::MAX));
+        Err(ProtoError::Frame(FrameError::Oversized { len, max })) => {
+            assert_eq!(len, u64::MAX);
             assert_eq!(max, MAX_FRAME_BYTES as u64);
         }
         other => panic!("expected Oversized, got {other:?}"),
     }
+    let huge = vec![0u8; MAX_FRAME_BYTES + 1];
+    assert!(matches!(
+        proto::write_frame(&mut Vec::new(), &huge),
+        Err(ProtoError::Frame(FrameError::Oversized { .. }))
+    ));
 }
 
 #[test]

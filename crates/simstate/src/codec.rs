@@ -137,17 +137,29 @@ impl<'a> StateSource<'a> {
         }
     }
 
+    /// The next `n` bytes; running out is a shape error, like the
+    /// trailing remainder [`Self::expect_end`] reports.
     fn take(&mut self, n: usize) -> Result<&'a [u8], StateError> {
-        let end = self.pos.checked_add(n).ok_or(StateError::Truncated)?;
-        let bytes = self.buf.get(self.pos..end).ok_or(StateError::Truncated)?;
+        let short = || StateError::ShapeMismatch {
+            what: "snapshot payload bytes",
+            expected: n as u64,
+            found: self.remaining() as u64,
+        };
+        let end = self.pos.checked_add(n).ok_or_else(short)?;
+        let bytes = self.buf.get(self.pos..end).ok_or_else(short)?;
         self.pos = end;
         Ok(bytes)
     }
 
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], StateError> {
+        let mut arr = [0u8; N];
+        arr.copy_from_slice(self.take(N)?);
+        Ok(arr)
+    }
+
     /// Check a component section tag written by [`StateSink::tag`].
     pub fn expect_tag(&mut self, expected: &[u8; 4]) -> Result<(), StateError> {
-        let bytes = self.take(4)?;
-        let found: [u8; 4] = bytes.try_into().map_err(|_| StateError::Truncated)?;
+        let found = self.take_array::<4>()?;
         if &found == expected {
             Ok(())
         } else {
@@ -168,21 +180,15 @@ impl<'a> StateSource<'a> {
     }
 
     pub fn get_u32(&mut self) -> Result<u32, StateError> {
-        let bytes = self.take(4)?;
-        let arr: [u8; 4] = bytes.try_into().map_err(|_| StateError::Truncated)?;
-        Ok(u32::from_le_bytes(arr))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     pub fn get_u64(&mut self) -> Result<u64, StateError> {
-        let bytes = self.take(8)?;
-        let arr: [u8; 8] = bytes.try_into().map_err(|_| StateError::Truncated)?;
-        Ok(u64::from_le_bytes(arr))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     pub fn get_i64(&mut self) -> Result<i64, StateError> {
-        let bytes = self.take(8)?;
-        let arr: [u8; 8] = bytes.try_into().map_err(|_| StateError::Truncated)?;
-        Ok(i64::from_le_bytes(arr))
+        Ok(i64::from_le_bytes(self.take_array()?))
     }
 
     pub fn get_usize(&mut self) -> Result<usize, StateError> {
@@ -376,7 +382,10 @@ mod tests {
     #[test]
     fn truncation_and_bad_values_are_typed() {
         let mut r = StateSource::new(&[1, 2]);
-        assert!(matches!(r.get_u64(), Err(StateError::Truncated)));
+        assert!(matches!(
+            r.get_u64(),
+            Err(StateError::ShapeMismatch { expected: 8, found: 2, .. })
+        ));
 
         let mut r = StateSource::new(&[3]);
         assert!(matches!(r.get_bool(), Err(StateError::BadValue { .. })));

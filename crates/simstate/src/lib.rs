@@ -2,10 +2,11 @@
 //! # simstate — checkpointable simulator state
 //!
 //! The snapshot subsystem behind crash-consistent sweeps and warmup
-//! forking: a versioned binary container (`SSTATEv1`, same length-echo +
-//! FNV-1a footer idiom as the `GPTRCv2` trace format), a small byte codec
+//! forking: a versioned binary container (`SSTATEv2`), a small byte codec
 //! the simulator components serialize themselves through, and a
 //! file-backed [`store::CheckpointStore`] with atomic tmp+rename writes.
+//! [`frame`] is the checksummed frame snapshots, simserve wire messages
+//! (`SRV2`) and the graph cache (`GPCSRv2`) share.
 //!
 //! Design rules, in priority order:
 //!
@@ -24,10 +25,12 @@
 
 pub mod codec;
 pub mod container;
+pub mod frame;
 pub mod store;
 
 pub use codec::{StateSink, StateSource};
-pub use container::{read_snapshot, write_snapshot, Fnv1a, Snapshot};
+pub use container::{read_snapshot, write_snapshot, Snapshot};
+pub use frame::{Fnv1a, FrameError};
 pub use store::CheckpointStore;
 
 use std::fmt;
@@ -51,24 +54,15 @@ pub fn retry_io<T>(attempts: usize, mut op: impl FnMut() -> io::Result<T>) -> io
     Err(last)
 }
 
-/// Why a snapshot failed to decode or validate. Mirrors the trace
-/// decoder's taxonomy: I/O faults are separated from format corruption,
-/// and staleness (identity mismatches) from both, so callers can choose
-/// to warn-and-regenerate precisely.
+/// Why a snapshot failed to decode or validate. I/O faults are separated
+/// from a damaged or outdated frame, and staleness (identity mismatches)
+/// from both, so callers can choose to warn-and-regenerate precisely.
 #[derive(Debug)]
 pub enum StateError {
     /// Underlying I/O failure (not a format problem).
     Io(io::Error),
-    /// The file does not start with the snapshot magic.
-    BadMagic,
-    /// A recognized-but-unsupported snapshot version.
-    UnsupportedVersion,
-    /// The byte stream ended before the declared payload.
-    Truncated,
-    /// The footer's payload-length echo disagrees with the header.
-    LengthMismatch { header: u64, footer: u64 },
-    /// The footer checksum does not match the decoded bytes.
-    ChecksumMismatch { expected: u64, found: u64 },
+    /// The snapshot frame is damaged or from another format version.
+    Frame(FrameError),
     /// The snapshot was taken under a different system configuration.
     ConfigHashMismatch { expected: u64, found: u64 },
     /// The snapshot was taken against a different input trace.
@@ -90,19 +84,7 @@ impl fmt::Display for StateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StateError::Io(e) => write!(f, "snapshot I/O error: {e}"),
-            StateError::BadMagic => write!(f, "bad snapshot magic"),
-            StateError::UnsupportedVersion => {
-                write!(f, "unsupported snapshot format version (expected SSTATEv1)")
-            }
-            StateError::Truncated => write!(f, "snapshot is truncated"),
-            StateError::LengthMismatch { header, footer } => write!(
-                f,
-                "snapshot length mismatch: header says {header} payload bytes, footer {footer}"
-            ),
-            StateError::ChecksumMismatch { expected, found } => write!(
-                f,
-                "snapshot checksum mismatch: footer {expected:#018x}, computed {found:#018x}"
-            ),
+            StateError::Frame(e) => write!(f, "snapshot frame: {e}"),
             StateError::ConfigHashMismatch { expected, found } => write!(
                 f,
                 "snapshot config mismatch: expected {expected:#018x}, found {found:#018x}"
@@ -136,12 +118,11 @@ impl std::error::Error for StateError {
     }
 }
 
-impl From<io::Error> for StateError {
-    fn from(e: io::Error) -> Self {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            StateError::Truncated
-        } else {
-            StateError::Io(e)
+impl From<FrameError> for StateError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Io(e) => StateError::Io(e),
+            other => StateError::Frame(other),
         }
     }
 }
@@ -189,8 +170,12 @@ mod tests {
 
     #[test]
     fn errors_render_with_context() {
-        let e = StateError::ChecksumMismatch { expected: 1, found: 2 };
+        let e = StateError::from(FrameError::ChecksumMismatch { stored: 1, computed: 2 });
         assert!(e.to_string().contains("checksum"));
+        assert!(matches!(
+            StateError::from(FrameError::from(io::Error::other("disk"))),
+            StateError::Io(_)
+        ));
         let e = StateError::SectionMismatch { expected: *b"ROB_", found: *b"CCH_" };
         assert!(e.to_string().contains("ROB_"));
         let e = StateError::ShapeMismatch { what: "cache tags", expected: 64, found: 32 };

@@ -7,7 +7,8 @@
 //! half-written one), and validates every load against the caller's
 //! config/trace identity before returning a payload.
 
-use crate::container::{read_snapshot, write_snapshot, Fnv1a, Snapshot};
+use crate::container::{read_snapshot, write_snapshot, Snapshot};
+use crate::frame::Fnv1a;
 use crate::{retry_io, StateError, IO_RETRY_ATTEMPTS};
 use std::fs;
 use std::path::{Path, PathBuf};

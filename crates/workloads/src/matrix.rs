@@ -40,7 +40,7 @@
 //!   hash) so later runs of the same point fork past warmup, and
 //!   [`MatrixOptions::snapshot_every`] drops periodic mid-measurement
 //!   snapshots so a killed process resumes a point from its last snapshot
-//!   instead of from scratch. Snapshots are `SSTATEv1` containers
+//!   instead of from scratch. Snapshots are `SSTATEv2` containers
 //!   (checksummed, identity-validated); a corrupt or stale one is warned
 //!   about, discarded, and regenerated — restores are bit-identical, so
 //!   checkpointed runs produce byte-identical manifests.
@@ -70,7 +70,6 @@ use serde::Serialize;
 use simcore::hierarchy::MemorySystem;
 use simcore::{Budget, CompactTrace, Engine, SimResult};
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -529,9 +528,10 @@ pub fn cross(workloads: &[Workload], kinds: &[SystemKind]) -> Vec<(Workload, Sys
     workloads.iter().flat_map(|&w| kinds.iter().map(move |&k| (w, k))).collect()
 }
 
+/// FNV-1a, unlike `std`'s `DefaultHasher`, is stable across toolchains.
 fn hash_config_u64(repr: &str) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    repr.hash(&mut h);
+    let mut h = simstate::Fnv1a::new();
+    h.update(repr.as_bytes());
     h.finish()
 }
 
@@ -1222,6 +1222,11 @@ mod tests {
         assert!(!out.intervals.is_empty());
         let sum: u64 = out.intervals.iter().map(|iv| iv.instructions).sum();
         assert_eq!(sum, traced[0].result.instructions, "interval sums must reconcile");
+    }
+
+    #[test]
+    fn config_hash_is_pinned_across_toolchains() {
+        assert_eq!(hash_config_u64("Baseline SystemConfig { cores: 1 }"), 0xbf6d_736f_36e4_dd2a);
     }
 
     #[test]

@@ -183,11 +183,6 @@ impl Runner {
         self.traces.lock().remove(&w);
     }
 
-    /// Drop all cached traces.
-    pub fn clear_traces(&self) {
-        self.traces.lock().clear();
-    }
-
     /// Number of workload traces currently resident in the cache (the
     /// simserve daemon reports this in `cache-stats`).
     pub fn cached_trace_count(&self) -> usize {
@@ -249,12 +244,6 @@ impl Runner {
         engine.replay(&trace);
         let result = engine.finish();
         (result, tel.take_output().unwrap_or_default())
-    }
-
-    /// Run one workload on several designs (trace recorded once).
-    pub fn run_systems(&self, w: Workload, kinds: &[SystemKind]) -> Vec<SimResult> {
-        let _ = self.trace(w); // materialize once before fan-out
-        kinds.iter().map(|&k| self.run_one(w, k)).collect()
     }
 
     /// Run with the PC-stride profiler enabled (Fig. 3).
