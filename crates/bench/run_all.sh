@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Regenerate every paper table and figure into results/.
+# Regenerate every paper table and figure (and the ablations) into results/.
 # Usage: crates/bench/run_all.sh [extra harness flags, e.g. --quick]
 set -u
 cd "$(dirname "$0")/../.."
@@ -10,7 +10,7 @@ FLAGS="$*"
 run() {
     name=$1; shift
     echo "=== $name $* $FLAGS ($(date +%H:%M:%S))"
-    "$B/$name" "$@" $FLAGS > "results/$name.txt" 2> "results/$name.log" || echo "$name FAILED"
+    "$B/figure" "$name" "$@" $FLAGS > "results/$name.txt" 2> "results/$name.log" || echo "$name FAILED"
 }
 
 run table1
@@ -27,5 +27,6 @@ run fig11
 run fig12
 run fig13
 run threshold_sweep
+run ablation
 run fig14 --warmup 1000000 --measure 4000000
 echo "all done"

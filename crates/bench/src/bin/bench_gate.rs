@@ -1,5 +1,5 @@
 #![forbid(unsafe_code)]
-//! CI benchmark gate: compare a fresh `fig7 --bench-out` summary against
+//! CI benchmark gate: compare a fresh `figure fig7 --bench-out` summary against
 //! the committed `BENCH_sim.json` baseline and fail on drift.
 //!
 //! Two kinds of checks with very different tolerances:
@@ -21,11 +21,12 @@
 //!
 //! Exit codes: 0 pass, 1 drift detected, 2 usage or input error.
 
+use gpbench::Flags;
 use gpworkloads::parse_json_object;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// A `fig7 --bench-out` summary: one flat JSON object. Values keep their
+/// A `figure fig7 --bench-out` summary: one flat JSON object. Values keep their
 /// raw token text; numbers parse on demand (every value the gate compares
 /// is either a count well below 2^53 or already a float).
 struct Summary(BTreeMap<String, String>);
@@ -86,40 +87,21 @@ impl Gate {
         }
     }
 
-    /// Noisy wall-clock rate: candidate must stay above `baseline * (1 - tol)`.
-    fn check_rate_floor(&mut self, key: &str, tol: f64) {
+    /// Noisy wall-clock quantity: a rate (`floor`) must stay above
+    /// `baseline * (1 - tol)`, a duration below `baseline * (1 + tol)`.
+    fn check_bound(&mut self, key: &str, tol: f64, floor: bool) {
+        let (limit, side, sign, dp) =
+            if floor { (1.0 - tol, "floor", '-', 0) } else { (1.0 + tol, "ceiling", '+', 3) };
+        let pct = tol * 100.0;
         match (self.baseline.num(key), self.candidate.num(key)) {
-            (Ok(b), Ok(c)) if c >= b * (1.0 - tol) => {
-                println!(
-                    "  ok    {key}: {c:.0} (floor {:.0} = baseline {b:.0} - {:.0}%)",
-                    b * (1.0 - tol),
-                    tol * 100.0
-                );
-            }
+            (Ok(b), Ok(c)) if (c >= b * limit) == floor || c == b * limit => println!(
+                "  ok    {key}: {c:.dp$} ({side} {:.dp$} = baseline {b:.dp$} {sign} {pct:.0}%)",
+                b * limit
+            ),
             (Ok(b), Ok(c)) => self.failures.push(format!(
-                "{key}: {c:.0} below floor {:.0} (baseline {b:.0}, tol {:.0}%)",
-                b * (1.0 - tol),
-                tol * 100.0
-            )),
-            (Err(e), _) | (_, Err(e)) => self.failures.push(e),
-        }
-    }
-
-    /// Noisy wall-clock duration: candidate must stay below
-    /// `baseline * (1 + tol)`.
-    fn check_time_ceiling(&mut self, key: &str, tol: f64) {
-        match (self.baseline.num(key), self.candidate.num(key)) {
-            (Ok(b), Ok(c)) if c <= b * (1.0 + tol) => {
-                println!(
-                    "  ok    {key}: {c:.3} (ceiling {:.3} = baseline {b:.3} + {:.0}%)",
-                    b * (1.0 + tol),
-                    tol * 100.0
-                );
-            }
-            (Ok(b), Ok(c)) => self.failures.push(format!(
-                "{key}: {c:.3} above ceiling {:.3} (baseline {b:.3}, tol {:.0}%)",
-                b * (1.0 + tol),
-                tol * 100.0
+                "{key}: {c:.dp$} {} {side} {:.dp$} (baseline {b:.dp$}, tol {pct:.0}%)",
+                if floor { "below" } else { "above" },
+                b * limit
             )),
             (Err(e), _) | (_, Err(e)) => self.failures.push(e),
         }
@@ -146,38 +128,21 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut baseline = None;
-    let mut candidate = None;
-    // Wall-clock tolerances are deliberately loose (see module docs): the
-    // committed baseline and a CI runner are different machines.
-    let mut throughput_tol = 0.35;
-    let mut wall_tol = 0.55;
-    // Stall shares are simulated state; 0.02 absorbs only sub-percent
-    // formatting/aggregation wiggle, not behavior change.
-    let mut stall_tol = 0.02;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut f64_arg = |name: &str| -> Result<f64, String> {
-            it.next()
-                .ok_or_else(|| format!("{name} needs a value"))?
-                .parse()
-                .map_err(|e| format!("bad {name}: {e}"))
-        };
-        match arg.as_str() {
-            "--baseline" => baseline = it.next(),
-            "--candidate" => candidate = it.next(),
-            "--throughput-tol" => throughput_tol = f64_arg("--throughput-tol")?,
-            "--wall-tol" => wall_tol = f64_arg("--wall-tol")?,
-            "--stall-tol" => stall_tol = f64_arg("--stall-tol")?,
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
+    let valued = ["--baseline", "--candidate", "--throughput-tol", "--wall-tol", "--stall-tol"];
+    let flags = Flags::parse(std::env::args().skip(1), &valued, &[])?;
+    let path = |flag: &str| {
+        flags.value(flag).map(str::to_string).ok_or(format!("{flag} PATH is required"))
+    };
     Ok(Args {
-        baseline: baseline.ok_or("--baseline PATH is required")?,
-        candidate: candidate.ok_or("--candidate PATH is required")?,
-        throughput_tol,
-        wall_tol,
-        stall_tol,
+        baseline: path("--baseline")?,
+        candidate: path("--candidate")?,
+        // Wall-clock tolerances are deliberately loose (see module docs):
+        // the committed baseline and a CI runner are different machines.
+        throughput_tol: flags.number("--throughput-tol", 0.35)?,
+        wall_tol: flags.number("--wall-tol", 0.55)?,
+        // Stall shares are simulated state; 0.02 absorbs only sub-percent
+        // formatting/aggregation wiggle, not behavior change.
+        stall_tol: flags.number("--stall-tol", 0.02)?,
     })
 }
 
@@ -221,8 +186,8 @@ fn main() -> ExitCode {
     gate.check_share("stall_share_dram_wait", args.stall_tol);
     gate.check_share("stall_share_busy", args.stall_tol);
     // ...at no worse than baseline speed minus machine noise (loose).
-    gate.check_rate_floor("simulated_instr_per_sec", args.throughput_tol);
-    gate.check_time_ceiling("wall_seconds", args.wall_tol);
+    gate.check_bound("simulated_instr_per_sec", args.throughput_tol, true);
+    gate.check_bound("wall_seconds", args.wall_tol, false);
 
     if gate.failures.is_empty() {
         println!("bench-gate: PASS");
@@ -277,15 +242,15 @@ mod tests {
         };
         // 30% slower passes a 35% floor; 50% slower fails it.
         let mut g = Gate { baseline: mk(1000.0, 0.5), candidate: mk(700.0, 0.5), failures: vec![] };
-        g.check_rate_floor("simulated_instr_per_sec", 0.35);
+        g.check_bound("simulated_instr_per_sec", 0.35, true);
         assert!(g.failures.is_empty());
         let mut g = Gate { baseline: mk(1000.0, 0.5), candidate: mk(500.0, 0.5), failures: vec![] };
-        g.check_rate_floor("simulated_instr_per_sec", 0.35);
+        g.check_bound("simulated_instr_per_sec", 0.35, true);
         assert_eq!(g.failures.len(), 1);
         // A faster candidate always passes.
         let mut g =
             Gate { baseline: mk(1000.0, 0.5), candidate: mk(2000.0, 0.5), failures: vec![] };
-        g.check_rate_floor("simulated_instr_per_sec", 0.35);
+        g.check_bound("simulated_instr_per_sec", 0.35, true);
         assert!(g.failures.is_empty());
         // Stall shares: 0.01 drift passes at 0.02, 0.05 drift fails.
         let mut g = Gate { baseline: mk(1.0, 0.50), candidate: mk(1.0, 0.51), failures: vec![] };
@@ -293,6 +258,15 @@ mod tests {
         assert!(g.failures.is_empty());
         let mut g = Gate { baseline: mk(1.0, 0.50), candidate: mk(1.0, 0.55), failures: vec![] };
         g.check_share("stall_share_busy", 0.02);
+        assert_eq!(g.failures.len(), 1);
+        // Durations gate the other way: 50% slower passes a 55% ceiling,
+        // twice as slow fails it.
+        let wall = |secs: f64| Summary([("wall_seconds".to_string(), secs.to_string())].into());
+        let mut g = Gate { baseline: wall(10.0), candidate: wall(15.0), failures: vec![] };
+        g.check_bound("wall_seconds", 0.55, false);
+        assert!(g.failures.is_empty());
+        let mut g = Gate { baseline: wall(10.0), candidate: wall(20.0), failures: vec![] };
+        g.check_bound("wall_seconds", 0.55, false);
         assert_eq!(g.failures.len(), 1);
     }
 }

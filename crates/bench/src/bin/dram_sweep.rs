@@ -23,17 +23,16 @@
 //!   submitted to a running daemon instead:
 //!   `simctl submit --systems baseline --channels 1,2,4,8 --workloads ...`
 
-use gpbench::{finish_sweeps, run_or_exit, HarnessOpts, TextTable};
+use gpbench::sweep::{render_table, run_sweep, Column, Footer, Value};
+use gpbench::{finish_sweeps, usage_exit, HarnessOpts};
+use gpworkloads::find_system;
 use gpworkloads::matrix::{MatrixPoint, SystemSpec};
-use gpworkloads::{find_system, RunRecord};
-use simcore::geomean;
 use std::process::ExitCode;
 
-/// Dram-wait share of attributed stall cycles across a point's
-/// intervals, or `None` when the point carries no telemetry (resumed or
-/// failed points).
-fn dram_wait_share(rec: &RunRecord) -> Option<f64> {
-    let tel = rec.telemetry.as_ref()?;
+const FLAGS: &[&str] = &["--channels", "--system"];
+
+/// Dram-wait share of attributed stall cycles across a point's intervals.
+fn dram_wait_share(tel: &simtel::TelemetryOutput) -> Option<f64> {
     let mut dram_wait = 0u64;
     let mut total = 0u64;
     for iv in &tel.intervals {
@@ -44,33 +43,11 @@ fn dram_wait_share(rec: &RunRecord) -> Option<f64> {
 }
 
 fn main() -> ExitCode {
-    let mut channels: Vec<usize> = vec![1, 2, 4, 8];
-    let mut system_arg = "baseline".to_string();
-    let mut rest = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--channels" => {
-                channels = it
-                    .next()
-                    .expect("--channels needs a list")
-                    .split(',')
-                    .map(|c| c.trim().parse().expect("bad --channels entry"))
-                    .collect();
-                assert!(!channels.is_empty(), "--channels needs at least one count");
-            }
-            "--system" => system_arg = it.next().expect("--system needs a name"),
-            _ => rest.push(arg),
-        }
-    }
-    let opts = HarnessOpts::parse(rest);
-    let kind = match find_system(&system_arg) {
-        Ok(k) => k,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (opts, flags) = HarnessOpts::parse_args(FLAGS);
+    let parsed = flags.list("--channels", vec![1usize, 2, 4, 8]).and_then(|channels| {
+        Ok((channels, find_system(flags.value("--system").unwrap_or("baseline"))?))
+    });
+    let (channels, kind) = parsed.unwrap_or_else(|e| usage_exit(&e, &HarnessOpts::flags(FLAGS)));
 
     let runner = opts.runner();
     // Chunk layout: every workload's channel counts are adjacent, first
@@ -85,71 +62,37 @@ fn main() -> ExitCode {
     // Interval telemetry is the point of this binary (the dram-wait
     // column), so it is always collected; --telemetry only adds files.
     let mut mopts = opts.matrix_options("dram_sweep");
-    mopts.telemetry = Some(simtel::TelemetryConfig {
+    mopts.telemetry.get_or_insert(simtel::TelemetryConfig {
         interval_instructions: opts.interval.max(1),
         event_capacity: 0,
         ..Default::default()
     });
-    let records = run_or_exit(runner.run_matrix_points(&points, &mopts), "dram_sweep");
+    let records =
+        run_sweep(&opts, &runner, "dram_sweep", &points, &mopts, opts.bench_out.as_deref());
 
-    let mut headers = vec!["workload".to_string()];
-    for &ch in &channels {
-        headers.push(format!("{ch}ch speedup"));
-        headers.push(format!("{ch}ch dram-wait"));
-    }
-    let mut table = TextTable::new(headers);
-    let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); channels.len()];
-
-    for chunk in records.chunks(channels.len()) {
-        let base = &chunk[0].result;
-        let mut cells = vec![chunk[0].workload.name()];
-        for (i, rec) in chunk.iter().enumerate() {
-            let s = rec.result.speedup_over(base);
-            if rec.is_ok() {
-                speedups[i].push(s);
-            }
-            cells.push(if rec.is_ok() { format!("{s:.3}x") } else { rec.manifest.status.clone() });
-            cells.push(match dram_wait_share(rec) {
-                Some(share) => format!("{:.1}%", share * 100.0),
-                None => "-".to_string(),
-            });
-        }
-        table.row(cells);
-    }
-    let mut geo = vec!["GEOMEAN".to_string()];
-    for s in &speedups {
-        geo.push(if s.is_empty() { "-".to_string() } else { format!("{:.3}x", geomean(s)) });
-        geo.push(String::new());
-    }
-    table.row(geo);
-
+    // Headers live as long as the process, like the rows' static ones.
+    let columns: Vec<Column> = (channels.iter().enumerate())
+        .flat_map(|(i, ch)| {
+            let speedup = format!("{ch}ch speedup").leak();
+            let wait = format!("{ch}ch dram-wait").leak();
+            [
+                Column::new(speedup, i, Value::Ratio, Footer::Geomean),
+                Column::new(wait, i, Value::Telemetry(dram_wait_share), Footer::Blank),
+            ]
+        })
+        .collect();
     println!(
         "DRAM channel sweep: {} across {:?} channels ({:?} scale, {} workload(s))",
         kind.name(),
         channels,
         opts.scale,
-        records.len() / channels.len().max(1),
+        records.len() / channels.len(),
     );
-    table.print();
+    print!("{}", render_table(&columns, channels.len(), &records));
     println!();
     println!(
         "Reading: if adding channels barely moves the speedup while dram-wait stays the \
          dominant stall, the bottleneck is memory latency, not bandwidth (Section III)."
     );
-    if let Some(dir) = &opts.telemetry {
-        for rec in records.iter().filter(|r| r.telemetry.is_some()) {
-            if let Some(tel) = &rec.telemetry {
-                let point = format!(
-                    "{}.{}",
-                    rec.workload.name(),
-                    gpworkloads::norm_name(&rec.manifest.system)
-                );
-                if let Err(e) = opts.write_telemetry(&point, tel) {
-                    eprintln!("warning: writing telemetry for {point}: {e}");
-                }
-            }
-        }
-        println!("wrote per-point interval telemetry under {}", dir.display());
-    }
     finish_sweeps(&[&records])
 }

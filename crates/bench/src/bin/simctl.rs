@@ -28,10 +28,12 @@
 //! simctl submit --workloads bfs.kron,pr.kron,cc.kron --systems fig7
 //! ```
 
+use gpbench::{number, Flags};
+use gpworkloads::{norm_name, SystemKind};
 use simserve::proto::{PointSpec, SubmitSpec};
 use simserve::Client;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -108,13 +110,16 @@ fn cmd_shutdown(client: &Client) -> Result<ExitCode, simserve::ServeError> {
 }
 
 fn cmd_results(client: &Client, rest: Vec<String>) -> Result<ExitCode, simserve::ServeError> {
-    let Some(sweep) = rest.first().and_then(|s| s.parse::<u64>().ok()) else {
+    let mut rest = rest.into_iter();
+    let sweep = rest.next().unwrap_or_default();
+    let parsed = Flags::parse(rest, &["--manifest"], &[])
+        .and_then(|f| Ok((number::<u64>("SWEEP_ID", &sweep)?, f)));
+    let Ok((sweep, flags)) = parsed else {
         eprintln!("usage: simctl results SWEEP_ID [--manifest PATH]");
-        return Ok(ExitCode::FAILURE);
+        return Ok(ExitCode::from(2));
     };
-    let manifest = flag_value(&rest[1..], "--manifest").map(PathBuf::from);
     let records = client.results(sweep)?;
-    let mut out = manifest_writer(manifest.as_deref());
+    let mut out = manifest_writer(flags.value("--manifest").map(Path::new));
     for rec in &records {
         println!(
             "[{}] {} on {}: {}{}",
@@ -130,92 +135,69 @@ fn cmd_results(client: &Client, rest: Vec<String>) -> Result<ExitCode, simserve:
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_submit(client: &Client, rest: Vec<String>) -> Result<ExitCode, simserve::ServeError> {
-    let mut spec = SubmitSpec {
-        scale: "tiny".to_string(),
-        warmup: 200_000,
-        measure: 800_000,
-        skip: None,
-        interval: 0,
-        points: Vec::new(),
-    };
-    let mut workloads: Vec<String> = Vec::new();
-    let mut systems: Vec<String> = Vec::new();
-    let mut channels: Vec<u32> = Vec::new();
-    let mut manifest: Option<PathBuf> = None;
-    let mut telemetry: Option<PathBuf> = None;
-    let mut it = rest.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--workloads" => workloads = split_list(&it.next().expect("--workloads needs a list")),
-            "--systems" => systems = split_list(&it.next().expect("--systems needs a list")),
-            "--channels" => {
-                channels = split_list(&it.next().expect("--channels needs a list"))
-                    .iter()
-                    .map(|c| c.parse().expect("bad --channels entry"))
-                    .collect()
-            }
-            "--scale" => spec.scale = it.next().expect("--scale needs a name"),
-            "--warmup" => {
-                spec.warmup =
-                    it.next().expect("--warmup needs a value").parse().expect("bad --warmup")
-            }
-            "--measure" => {
-                spec.measure =
-                    it.next().expect("--measure needs a value").parse().expect("bad --measure")
-            }
-            "--skip" => {
-                spec.skip =
-                    Some(it.next().expect("--skip needs a value").parse().expect("bad --skip"))
-            }
-            "--interval" => {
-                spec.interval =
-                    it.next().expect("--interval needs a value").parse().expect("bad --interval")
-            }
-            "--manifest" => manifest = Some(it.next().expect("--manifest needs a path").into()),
-            "--telemetry" => telemetry = Some(it.next().expect("--telemetry needs a dir").into()),
-            other => {
-                eprintln!(
-                    "unknown submit flag {other:?} (try --workloads / --systems / --channels / \
-                     --scale / --warmup / --measure / --skip / --interval / --manifest / \
-                     --telemetry)"
-                );
-                return Ok(ExitCode::FAILURE);
-            }
-        }
-    }
+const SUBMIT_FLAGS: &[&str] = &[
+    "--workloads",
+    "--systems",
+    "--channels",
+    "--scale",
+    "--warmup",
+    "--measure",
+    "--skip",
+    "--interval",
+    "--manifest",
+    "--telemetry",
+];
+
+/// The submission a `submit` command line describes.
+fn submit_spec(flags: &Flags) -> Result<SubmitSpec, String> {
+    let list = |flag| flags.list::<String>(flag, Vec::new());
+    let mut workloads = list("--workloads")?;
     if workloads.is_empty() || workloads.iter().any(|w| w == "all") {
         workloads = gpworkloads::all_workloads().iter().map(|w| w.name()).collect();
     }
+    let mut systems = list("--systems")?;
     if systems.is_empty() {
         systems = vec!["baseline".to_string()];
     }
     if systems.iter().any(|s| s == "fig7") {
-        let named: Vec<String> = gpworkloads::SystemKind::FIG7
-            .iter()
-            .map(|k| gpworkloads::norm_name(k.name()))
-            .collect();
+        let named = SystemKind::FIG7.iter().map(|k| norm_name(k.name()));
         systems = systems.into_iter().filter(|s| s != "fig7").chain(named).collect();
     }
-    if channels.is_empty() {
-        channels.push(0); // 0 = the design's own channel count
-    }
+    // 0 = the design's own channel count.
+    let channels: Vec<u32> = flags.list("--channels", vec![0])?;
+    let mut points = Vec::new();
     for w in &workloads {
         for s in &systems {
             for &ch in &channels {
-                spec.points.push(PointSpec {
-                    workload: w.clone(),
-                    system: s.clone(),
-                    channels: ch,
-                });
+                points.push(PointSpec { workload: w.clone(), system: s.clone(), channels: ch });
             }
         }
     }
+    Ok(SubmitSpec {
+        scale: flags.value("--scale").unwrap_or("tiny").to_string(),
+        warmup: flags.number("--warmup", 200_000)?,
+        measure: flags.number("--measure", 800_000)?,
+        skip: flags.value("--skip").map(|_| flags.number("--skip", 0)).transpose()?,
+        interval: flags.number("--interval", 0)?,
+        points,
+    })
+}
 
+fn cmd_submit(client: &Client, rest: Vec<String>) -> Result<ExitCode, simserve::ServeError> {
+    let parsed =
+        Flags::parse(rest, SUBMIT_FLAGS, &[]).and_then(|flags| Ok((submit_spec(&flags)?, flags)));
+    let (spec, flags) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}\nsubmit flags: {}", SUBMIT_FLAGS.join(" / "));
+            return Ok(ExitCode::from(2));
+        }
+    };
+    let telemetry = flags.value("--telemetry").map(Path::new);
     let mut stream = client.submit(spec)?;
     let total = stream.points();
     println!("sweep {} accepted: {total} point(s)", stream.sweep());
-    let mut out = manifest_writer(manifest.as_deref());
+    let mut out = manifest_writer(flags.value("--manifest").map(Path::new));
     let mut done = 0u32;
     let mut failed = 0u32;
     while let Some(rec) = stream.next_record()? {
@@ -231,12 +213,9 @@ fn cmd_submit(client: &Client, rest: Vec<String>) -> Result<ExitCode, simserve::
             failed += 1;
         }
         write_manifest_line(&mut out, &rec.manifest_json);
-        if let (Some(dir), false) = (&telemetry, rec.intervals_jsonl.is_empty()) {
-            let path = dir.join(format!(
-                "{}.{}.intervals.jsonl",
-                rec.workload,
-                gpworkloads::norm_name(&rec.system)
-            ));
+        if let (Some(dir), false) = (telemetry, rec.intervals_jsonl.is_empty()) {
+            let path =
+                dir.join(format!("{}.{}.intervals.jsonl", rec.workload, norm_name(&rec.system)));
             let _ = std::fs::create_dir_all(dir);
             if let Err(e) = std::fs::write(&path, &rec.intervals_jsonl) {
                 eprintln!("warning: writing {}: {e}", path.display());
@@ -252,15 +231,7 @@ fn cmd_submit(client: &Client, rest: Vec<String>) -> Result<ExitCode, simserve::
     Ok(if failed == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
-fn split_list(arg: &str) -> Vec<String> {
-    arg.split(',').map(str::trim).filter(|s| !s.is_empty()).map(str::to_string).collect()
-}
-
-fn flag_value<'a>(rest: &'a [String], flag: &str) -> Option<&'a str> {
-    rest.iter().position(|a| a == flag).and_then(|i| rest.get(i + 1)).map(String::as_str)
-}
-
-fn manifest_writer(path: Option<&std::path::Path>) -> Option<std::io::BufWriter<std::fs::File>> {
+fn manifest_writer(path: Option<&Path>) -> Option<std::io::BufWriter<std::fs::File>> {
     let path = path?;
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         let _ = std::fs::create_dir_all(dir);

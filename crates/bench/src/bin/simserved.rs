@@ -26,80 +26,52 @@
 //! The process runs until a client sends `simctl shutdown` (graceful
 //! drain) or it is killed; either way a restart recovers the socket.
 
+use gpbench::{usage_exit, Flags};
 use gpworkloads::matrix::Watchdog;
 use simserve::{Daemon, DaemonConfig};
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+const VALUED: &[&str] = &[
+    "--socket",
+    "--workers",
+    "--state-dir",
+    "--snapshot-every",
+    "--watchdog-cpi",
+    "--queue-limit",
+    "--archive-limit",
+];
+const SWITCHES: &[&str] =
+    &["--no-state", "--warmup-fork", "--no-watchdog", "--allow-poison", "--quiet"];
+
+fn config(flags: &Flags) -> Result<DaemonConfig, String> {
+    let d = DaemonConfig::default();
+    let state = !flags.has("--no-state");
+    Ok(DaemonConfig {
+        socket: flags.value("--socket").unwrap_or("results/simserve.sock").into(),
+        workers: flags.number("--workers", d.workers)?,
+        state_dir: state
+            .then(|| flags.value("--state-dir").unwrap_or("results/state/simserved").into()),
+        warmup_fork: state && flags.has("--warmup-fork"),
+        snapshot_every: if state { flags.number("--snapshot-every", 0)? } else { 0 },
+        watchdog: match flags.value("--watchdog-cpi") {
+            _ if flags.has("--no-watchdog") => Watchdog::Off,
+            Some(_) => Watchdog::CyclesPerInstr(flags.number("--watchdog-cpi", 0)?),
+            None => d.watchdog,
+        },
+        queue_limit: flags.number("--queue-limit", d.queue_limit)?,
+        archive_limit: flags.number("--archive-limit", d.archive_limit)?,
+        allow_poison: flags.has("--allow-poison"),
+        ..d
+    })
+}
+
 fn main() -> ExitCode {
-    let mut cfg = DaemonConfig {
-        socket: PathBuf::from("results/simserve.sock"),
-        state_dir: Some(PathBuf::from("results/state/simserved")),
-        ..DaemonConfig::default()
-    };
-    let mut quiet = false;
-    let mut no_state = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--socket" => cfg.socket = it.next().expect("--socket needs a path").into(),
-            "--workers" => {
-                cfg.workers =
-                    it.next().expect("--workers needs a count").parse().expect("bad --workers")
-            }
-            "--state-dir" => {
-                cfg.state_dir = Some(it.next().expect("--state-dir needs a path").into())
-            }
-            "--no-state" => no_state = true,
-            "--warmup-fork" => cfg.warmup_fork = true,
-            "--snapshot-every" => {
-                cfg.snapshot_every = it
-                    .next()
-                    .expect("--snapshot-every needs a value")
-                    .parse()
-                    .expect("bad --snapshot-every")
-            }
-            "--watchdog-cpi" => {
-                cfg.watchdog = Watchdog::CyclesPerInstr(
-                    it.next()
-                        .expect("--watchdog-cpi needs a value")
-                        .parse()
-                        .expect("bad --watchdog-cpi"),
-                )
-            }
-            "--no-watchdog" => cfg.watchdog = Watchdog::Off,
-            "--queue-limit" => {
-                cfg.queue_limit = it
-                    .next()
-                    .expect("--queue-limit needs a count")
-                    .parse()
-                    .expect("bad --queue-limit")
-            }
-            "--archive-limit" => {
-                cfg.archive_limit = it
-                    .next()
-                    .expect("--archive-limit needs a count")
-                    .parse()
-                    .expect("bad --archive-limit")
-            }
-            "--allow-poison" => cfg.allow_poison = true,
-            "--quiet" => quiet = true,
-            other => {
-                eprintln!(
-                    "unknown argument {other:?} (try --socket / --workers / --state-dir / \
-                     --no-state / --warmup-fork / --snapshot-every / --watchdog-cpi / \
-                     --no-watchdog / --queue-limit / --archive-limit / --allow-poison / --quiet)"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if no_state {
-        cfg.state_dir = None;
-        cfg.warmup_fork = false;
-        cfg.snapshot_every = 0;
-    }
+    let usage = |e: String| -> ! { usage_exit(&e, &[VALUED, SWITCHES].concat()) };
+    let args = std::env::args().skip(1);
+    let flags = Flags::parse(args, VALUED, SWITCHES).unwrap_or_else(|e| usage(e));
+    let mut cfg = config(&flags).unwrap_or_else(|e| usage(e));
+    let quiet = flags.has("--quiet");
     if !quiet {
         cfg.log = Some(Arc::new(|msg: &str| eprintln!("simserved: {msg}")));
     }

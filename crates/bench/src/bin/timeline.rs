@@ -17,37 +17,17 @@
 //!   period and `--telemetry DIR` additionally writes the JSONL intervals
 //!   and the Chrome trace-event JSON for Perfetto.
 
-use gpbench::HarnessOpts;
+use gpbench::{usage_exit, HarnessOpts};
 use gpworkloads::{find_system, find_workload, norm_name};
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    // Peel off the timeline-specific flags, then hand the rest to the
-    // shared parser (which rejects anything it does not know).
-    let mut workload_arg = "bfs.kron".to_string();
-    let mut system_arg = "sdc_lp".to_string();
-    let mut csv_path: Option<std::path::PathBuf> = None;
-    let mut rest = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--workload" => workload_arg = it.next().expect("--workload needs a name"),
-            "--system" => system_arg = it.next().expect("--system needs a name"),
-            "--csv" => csv_path = Some(it.next().expect("--csv needs a path").into()),
-            _ => rest.push(arg),
-        }
-    }
-    let opts = HarnessOpts::parse(rest);
+const FLAGS: &[&str] = &["--workload", "--system", "--csv"];
 
-    let (workload, kind) = match (find_workload(&workload_arg), find_system(&system_arg)) {
-        (Ok(w), Ok(k)) => (w, k),
-        (w, k) => {
-            for e in [w.err(), k.err()].into_iter().flatten() {
-                eprintln!("error: {e}");
-            }
-            return ExitCode::FAILURE;
-        }
-    };
+fn main() -> ExitCode {
+    let (opts, flags) = HarnessOpts::parse_args(FLAGS);
+    let found = find_workload(flags.value("--workload").unwrap_or("bfs.kron"))
+        .and_then(|w| Ok((w, find_system(flags.value("--system").unwrap_or("sdc_lp"))?)));
+    let (workload, kind) = found.unwrap_or_else(|e| usage_exit(&e, &HarnessOpts::flags(FLAGS)));
 
     // The whole point of this binary is the timeline, so telemetry is
     // always collected here; --telemetry only adds the file outputs.
@@ -77,7 +57,7 @@ fn main() -> ExitCode {
     print!("{}", simtel::render::ascii_timeline(&output.intervals));
 
     let point = format!("{}.{}", workload.name(), norm_name(kind.name()));
-    if let Some(path) = &csv_path {
+    if let Some(path) = flags.value("--csv").map(std::path::Path::new) {
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }

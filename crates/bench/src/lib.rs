@@ -1,77 +1,64 @@
 #![forbid(unsafe_code)]
-//! # gpbench — experiment harness shared plumbing
+//! # gpbench — experiment harness
 //!
-//! Each paper table/figure has a binary (`cargo run --release -p gpbench
-//! --bin figN`). This library holds the shared command-line handling and
-//! text-table rendering they use.
+//! The `figure` binary regenerates every paper table and figure from one
+//! spec table ([`figures::FIGURES`]); `dram_sweep` and `timeline` are
+//! separate tools over the same plumbing. This library holds the shared
+//! command-line handling, the sweep driver and table renderer
+//! ([`sweep`]), and text-table rendering.
+
+pub mod figures;
+pub mod sweep;
 
 use gpgraph::SuiteScale;
-use gpworkloads::{MatrixOptions, RunRecord, Runner, SimError, Watchdog};
+use gpworkloads::{find_scale, MatrixOptions, RunRecord, Runner, SimError, Watchdog};
 use simcore::Window;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
-/// Command-line options shared by every figure binary.
-///
-/// * `--scale tiny|small|full` — suite graph scale (default `full`).
-/// * `--warmup N` / `--measure N` — window lengths in instructions.
-/// * `--quick` — shorthand for `--scale small --warmup 200000 --measure
-///   800000` (fast sanity runs).
-/// * `--manifest PATH` — where sweep binaries stream their JSONL run
-///   manifests (default `results/manifests/<bin>.jsonl`).
-/// * `--no-manifest` — disable manifest output.
-/// * `--resume` — reload the manifest (or its `.partial` leftover) and
-///   re-run only points without a prior `ok` record.
-/// * `--fail-fast` — abort the sweep on the first failing point instead
-///   of completing the rest.
-/// * `--watchdog-cpi N` — per-point runaway ceiling of `N` cycles per
-///   windowed instruction (default 512); `--no-watchdog` disarms it.
-/// * `--state-dir DIR` — directory for engine-state checkpoints (default
-///   `results/state/<bin>`; checkpointing is off unless `--warmup-fork`
-///   or `--snapshot-every` asks for it).
-/// * `--warmup-fork` — persist each point's post-warmup machine state and
-///   fork from it on later runs of the same point (bit-identical results;
-///   skips the warmup replay).
-/// * `--snapshot-every N` — crash-recovery snapshot every `N` trace events
-///   during measurement; a killed run's next invocation resumes each
-///   interrupted point from its last snapshot.
-/// * `--telemetry DIR` — collect interval snapshots + event traces for
-///   every simulated point and write `<DIR>/<workload>.<system>.intervals.jsonl`
-///   and `.trace.json` (Chrome trace-event format, loadable in Perfetto).
-/// * `--interval N` — telemetry snapshot period in traced instructions
-///   (default 100000; only meaningful with `--telemetry`).
-/// * `--bench-out PATH` — write a `BENCH_sim.json` wall-clock/throughput
-///   summary for the sweep (binaries that support it, e.g. `fig7`).
-///
-/// Replay parallelism is controlled by `RAYON_NUM_THREADS` (defaults to
+/// Command-line options shared by every harness binary, one field per
+/// flag. Replay parallelism is controlled by `RAYON_NUM_THREADS` (default:
 /// the machine's available parallelism).
 #[derive(Debug, Clone)]
 pub struct HarnessOpts {
+    /// `--scale tiny|small|medium|full`: suite graph scale (default full).
     pub scale: SuiteScale,
+    /// `--warmup N` / `--measure N`: window lengths in instructions;
+    /// `--quick` is `--scale small --warmup 200000 --measure 800000`.
     pub window: Window,
-    /// Restrict to workloads whose name contains this substring.
+    /// `--only S`: restrict to workloads whose name contains `S`.
     pub only: Option<String>,
-    /// Explicit manifest path (overrides the per-binary default).
+    /// `--manifest PATH`: where sweeps stream their JSONL run manifests
+    /// (default `results/manifests/<tag>.jsonl`).
     pub manifest: Option<PathBuf>,
-    /// Suppress manifest output entirely.
+    /// `--no-manifest`: disable manifest output.
     pub no_manifest: bool,
-    /// Skip points with a prior `ok` manifest record.
+    /// `--resume`: reload the manifest (or its `.partial` leftover) and
+    /// re-run only points without a prior `ok` record.
     pub resume: bool,
-    /// Abort on the first failing point.
+    /// `--fail-fast`: abort the sweep on the first failing point.
     pub fail_fast: bool,
-    /// Per-point runaway-simulation ceiling.
+    /// `--watchdog-cpi N`: per-point runaway ceiling of `N` cycles per
+    /// windowed instruction (default 512); `--no-watchdog` disarms it.
     pub watchdog: Watchdog,
-    /// Telemetry output directory (`None` = telemetry disabled).
+    /// `--telemetry DIR`: write `<workload>.<system>.intervals.jsonl` and
+    /// `.trace.json` (Chrome trace-event JSON) for every simulated point.
     pub telemetry: Option<PathBuf>,
-    /// Telemetry snapshot period in traced instructions.
+    /// `--interval N`: telemetry snapshot period in traced instructions.
     pub interval: u64,
-    /// Where to write the sweep's wall-clock benchmark summary.
+    /// `--bench-out PATH`: write the sweep's `BENCH_sim.json`
+    /// wall-clock/throughput summary.
     pub bench_out: Option<PathBuf>,
-    /// Explicit checkpoint directory (overrides the per-binary default).
+    /// `--state-dir DIR`: engine-state checkpoints (default
+    /// `results/state/<tag>`; written only under the next two flags).
     pub state_dir: Option<PathBuf>,
-    /// Fork points from persisted post-warmup checkpoints.
+    /// `--warmup-fork`: persist each point's post-warmup state and fork
+    /// later runs of the point from it (bit-identical results).
     pub warmup_fork: bool,
-    /// Mid-measurement snapshot cadence in trace events (0 = off).
+    /// `--snapshot-every N`: crash-recovery snapshot every `N` trace
+    /// events of measurement; a killed run's next invocation resumes each
+    /// interrupted point from its last one.
     pub snapshot_every: u64,
 }
 
@@ -97,104 +84,84 @@ impl Default for HarnessOpts {
 }
 
 impl HarnessOpts {
-    pub fn parse_args() -> Self {
-        Self::parse(std::env::args().skip(1))
+    /// The shared flags that take a value, and those that take none.
+    const VALUED: [&'static str; 11] = [
+        "--scale",
+        "--warmup",
+        "--measure",
+        "--only",
+        "--manifest",
+        "--watchdog-cpi",
+        "--state-dir",
+        "--snapshot-every",
+        "--telemetry",
+        "--interval",
+        "--bench-out",
+    ];
+    const SWITCHES: [&'static str; 6] =
+        ["--quick", "--no-manifest", "--resume", "--fail-fast", "--no-watchdog", "--warmup-fork"];
+
+    /// Parse the process arguments, accepting the binary's own valued
+    /// flags `extra` besides the shared ones; a bad command line is a
+    /// usage error (see [`usage_exit`]).
+    pub fn parse_args(extra: &[&'static str]) -> (Self, Flags) {
+        Self::parse_with(std::env::args().skip(1), extra)
+            .unwrap_or_else(|e| usage_exit(&e, &Self::flags(extra)))
     }
 
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// Parse the shared flags only.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+        Self::parse_with(args, &[]).map(|(opts, _)| opts)
+    }
+
+    /// Parse the shared flags plus the declared binary-specific valued
+    /// flags `extra` (read back through the returned [`Flags`]). Flags
+    /// apply in order, so a later `--scale` overrides `--quick`'s.
+    pub fn parse_with<I: IntoIterator<Item = String>>(
+        args: I,
+        extra: &[&'static str],
+    ) -> Result<(Self, Flags), String> {
+        let valued: Vec<&'static str> = Self::VALUED.iter().chain(extra).copied().collect();
+        let flags = Flags::parse(args, &valued, &Self::SWITCHES)?;
         let mut opts = HarnessOpts::default();
-        let mut warmup = None;
-        let mut measure = None;
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
+        let (mut warmup, mut measure) = (None, None);
+        for (flag, value) in &flags.0 {
+            let v = value.as_deref().unwrap_or_default();
+            match *flag {
                 "--quick" => {
                     opts.scale = SuiteScale::Small;
                     warmup = Some(200_000);
                     measure = Some(800_000);
                 }
-                "--scale" => {
-                    opts.scale = match it.next().as_deref() {
-                        Some("tiny") => SuiteScale::Tiny,
-                        Some("small") => SuiteScale::Small,
-                        Some("medium") => SuiteScale::Medium,
-                        Some("full") => SuiteScale::Full,
-                        other => panic!("unknown scale {other:?}"),
-                    };
-                }
-                "--warmup" => {
-                    warmup = Some(
-                        it.next().expect("--warmup needs a value").parse().expect("bad --warmup"),
-                    );
-                }
-                "--measure" => {
-                    measure = Some(
-                        it.next()
-                            .expect("--measure needs a value")
-                            .parse()
-                            .expect("bad --measure"),
-                    );
-                }
-                "--only" => {
-                    opts.only = Some(it.next().expect("--only needs a substring"));
-                }
-                "--manifest" => {
-                    opts.manifest = Some(it.next().expect("--manifest needs a path").into());
-                }
-                "--no-manifest" => {
-                    opts.no_manifest = true;
-                }
-                "--resume" => {
-                    opts.resume = true;
-                }
-                "--fail-fast" => {
-                    opts.fail_fast = true;
-                }
-                "--watchdog-cpi" => {
-                    opts.watchdog = Watchdog::CyclesPerInstr(
-                        it.next()
-                            .expect("--watchdog-cpi needs a value")
-                            .parse()
-                            .expect("bad --watchdog-cpi"),
-                    );
-                }
-                "--no-watchdog" => {
-                    opts.watchdog = Watchdog::Off;
-                }
-                "--telemetry" => {
-                    opts.telemetry = Some(it.next().expect("--telemetry needs a directory").into());
-                }
-                "--interval" => {
-                    opts.interval = it
-                        .next()
-                        .expect("--interval needs a value")
-                        .parse()
-                        .expect("bad --interval");
-                }
-                "--bench-out" => {
-                    opts.bench_out = Some(it.next().expect("--bench-out needs a path").into());
-                }
-                "--state-dir" => {
-                    opts.state_dir = Some(it.next().expect("--state-dir needs a path").into());
-                }
-                "--warmup-fork" => {
-                    opts.warmup_fork = true;
-                }
-                "--snapshot-every" => {
-                    opts.snapshot_every = it
-                        .next()
-                        .expect("--snapshot-every needs a value")
-                        .parse()
-                        .expect("bad --snapshot-every");
-                }
-                other => panic!("unknown argument {other:?} (try --quick / --scale / --warmup / --measure / --only / --manifest / --no-manifest / --resume / --fail-fast / --watchdog-cpi / --no-watchdog / --state-dir / --warmup-fork / --snapshot-every / --telemetry / --interval / --bench-out)"),
+                "--scale" => opts.scale = find_scale(v)?,
+                "--warmup" => warmup = Some(number(flag, v)?),
+                "--measure" => measure = Some(number(flag, v)?),
+                "--only" => opts.only = Some(v.to_string()),
+                "--manifest" => opts.manifest = Some(v.into()),
+                "--no-manifest" => opts.no_manifest = true,
+                "--resume" => opts.resume = true,
+                "--fail-fast" => opts.fail_fast = true,
+                "--watchdog-cpi" => opts.watchdog = Watchdog::CyclesPerInstr(number(flag, v)?),
+                "--no-watchdog" => opts.watchdog = Watchdog::Off,
+                "--telemetry" => opts.telemetry = Some(v.into()),
+                "--interval" => opts.interval = number(flag, v)?,
+                "--bench-out" => opts.bench_out = Some(v.into()),
+                "--state-dir" => opts.state_dir = Some(v.into()),
+                "--warmup-fork" => opts.warmup_fork = true,
+                "--snapshot-every" => opts.snapshot_every = number(flag, v)?,
+                _ => {} // the binary's own flag
             }
         }
         opts.window = Window::new(
             warmup.unwrap_or(opts.window.warmup),
             measure.unwrap_or(opts.window.measure),
         );
-        opts
+        Ok((opts, flags))
+    }
+
+    /// Every shared flag plus the binary's own, for the usage line.
+    pub fn flags(extra: &[&'static str]) -> Vec<&'static str> {
+        Self::VALUED.iter().chain(&Self::SWITCHES).chain(extra).copied().collect()
     }
 
     pub fn runner(&self) -> Runner {
@@ -211,22 +178,15 @@ impl HarnessOpts {
         self.only.as_deref().is_none_or(|s| name.contains(s))
     }
 
-    /// Matrix-executor options for a sweep named `tag` (usually the binary
-    /// name; binaries running several sweeps pass distinct tags so later
-    /// sweeps don't truncate earlier manifests). Progress lines and
-    /// trace/graph eviction are always on for harness runs.
+    /// Matrix-executor options for a sweep named `tag` (the figure name;
+    /// rows running several sweeps pass distinct tags so later sweeps
+    /// don't truncate earlier manifests). Progress lines and trace/graph
+    /// eviction are always on for harness runs.
     pub fn matrix_options(&self, tag: &str) -> MatrixOptions {
         let mut m = MatrixOptions::harness();
         if !self.no_manifest {
             m.manifest_path = Some(match &self.manifest {
-                Some(path) if tag.is_empty() => path.clone(),
-                Some(path) => {
-                    // With several sweeps per binary, derive per-tag files
-                    // from the explicit path: results.jsonl -> results-tag.jsonl.
-                    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("manifest");
-                    let ext = path.extension().and_then(|s| s.to_str()).unwrap_or("jsonl");
-                    path.with_file_name(format!("{stem}-{tag}.{ext}"))
-                }
+                Some(path) => tagged_path(path, tag),
                 None => PathBuf::from(format!("results/manifests/{tag}.jsonl")),
             });
         }
@@ -235,8 +195,9 @@ impl HarnessOpts {
         m.resume = self.resume && m.manifest_path.is_some();
         m.fail_fast = self.fail_fast;
         m.watchdog = self.watchdog;
+        m.telemetry = self.telemetry_config();
         // Engine-state checkpoints: on when either layer is requested,
-        // under --state-dir or a per-binary default.
+        // under --state-dir or a per-sweep default.
         if self.warmup_fork || self.snapshot_every > 0 {
             m.state_dir = Some(match &self.state_dir {
                 Some(dir) => dir.clone(),
@@ -284,6 +245,84 @@ impl HarnessOpts {
             simtel::export::chrome_trace(output),
         )
     }
+}
+
+/// Derive a per-tag file from an explicit path (`run.jsonl` with tag
+/// `fig7` becomes `run-fig7.jsonl`), so several sweeps under one flag
+/// never overwrite each other. An empty tag keeps the path.
+pub fn tagged_path(path: &Path, tag: &str) -> PathBuf {
+    if tag.is_empty() {
+        return path.to_path_buf();
+    }
+    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("manifest");
+    let ext = path.extension().and_then(|s| s.to_str()).unwrap_or("jsonl");
+    path.with_file_name(format!("{stem}-{tag}.{ext}"))
+}
+
+/// Parse one flag value (surrounding whitespace allowed).
+pub fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.trim().parse().map_err(|_| format!("bad {flag} value {value:?}"))
+}
+
+/// A command line of declared flags, in the order given: `valued` flags
+/// take the next argument, switches take none, anything else is an
+/// error. Every gpbench binary parses its arguments through it.
+#[derive(Debug, Clone, Default)]
+pub struct Flags(Vec<(&'static str, Option<String>)>);
+
+impl Flags {
+    pub fn parse<I: IntoIterator<Item = String>>(
+        args: I,
+        valued: &[&'static str],
+        switches: &[&'static str],
+    ) -> Result<Self, String> {
+        let mut flags = Flags::default();
+        let mut it = args.into_iter();
+        while let Some(arg) = it.next() {
+            if let Some(&flag) = valued.iter().find(|&&f| f == arg) {
+                let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                flags.0.push((flag, Some(value)));
+            } else if let Some(&flag) = switches.iter().find(|&&f| f == arg) {
+                flags.0.push((flag, None));
+            } else {
+                return Err(format!("unknown argument {arg:?}"));
+            }
+        }
+        Ok(flags)
+    }
+
+    /// Was the switch (or valued flag) given?
+    pub fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The last value given for `flag`.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.0.iter().rev().find(|(f, _)| *f == flag).and_then(|(_, v)| v.as_deref())
+    }
+
+    /// `flag`'s value parsed as a number, or `default` when absent.
+    pub fn number<T: FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+        self.value(flag).map_or(Ok(default), |v| number(flag, v))
+    }
+
+    /// `flag`'s comma-separated list, or `default` when absent; an empty
+    /// list or a bad entry is an error.
+    pub fn list<T: FromStr>(&self, flag: &str, default: Vec<T>) -> Result<Vec<T>, String> {
+        let Some(v) = self.value(flag) else { return Ok(default) };
+        if v.trim().is_empty() {
+            return Err(format!("{flag} needs at least one entry"));
+        }
+        v.split(',').map(|entry| number(flag, entry)).collect()
+    }
+}
+
+/// Report a bad command line and the accepted `flags`, then exit with
+/// status 2.
+pub fn usage_exit(err: &str, flags: &[&str]) -> ! {
+    eprintln!("error: {err}");
+    eprintln!("flags: {}", flags.join(" / "));
+    std::process::exit(2)
 }
 
 /// Unwrap a sweep result or exit(2) with the sweep-level error (manifest
@@ -385,14 +424,14 @@ mod tests {
 
     #[test]
     fn parse_defaults_to_full_scale() {
-        let o = HarnessOpts::parse(Vec::<String>::new());
+        let o = HarnessOpts::parse(Vec::<String>::new()).unwrap();
         assert_eq!(o.scale, SuiteScale::Full);
         assert_eq!(o.window.warmup, 2_000_000);
     }
 
     #[test]
     fn parse_quick() {
-        let o = HarnessOpts::parse(vec!["--quick".to_string()]);
+        let o = HarnessOpts::parse(vec!["--quick".to_string()]).unwrap();
         assert_eq!(o.scale, SuiteScale::Small);
         assert_eq!(o.window.measure, 800_000);
     }
@@ -401,87 +440,122 @@ mod tests {
     fn parse_explicit_window() {
         let args: Vec<String> =
             ["--scale", "tiny", "--warmup", "100", "--measure", "200"].map(String::from).into();
-        let o = HarnessOpts::parse(args);
+        let o = HarnessOpts::parse(args).unwrap();
         assert_eq!(o.scale, SuiteScale::Tiny);
         assert_eq!(o.window.warmup, 100);
         assert_eq!(o.window.measure, 200);
     }
 
+    fn parse_err(args: &[&str], extra: &[&'static str]) -> String {
+        HarnessOpts::parse_with(args.iter().map(|a| a.to_string()), extra)
+            .expect_err("bad command line must be an error")
+    }
+
     #[test]
-    #[should_panic(expected = "unknown argument")]
     fn parse_rejects_unknown() {
-        HarnessOpts::parse(vec!["--bogus".to_string()]);
+        assert!(parse_err(&["--bogus"], &[]).contains("unknown argument"));
+        // A binary's own flag is unknown to a binary that did not declare it.
+        assert!(parse_err(&["--mixes", "2"], &[]).contains("unknown argument"));
+    }
+
+    #[test]
+    fn bad_values_are_usage_errors_not_panics() {
+        assert!(parse_err(&["--scale", "huge"], &[]).contains("unknown scale"));
+        assert!(parse_err(&["--warmup", "x"], &[]).contains("bad --warmup"));
+        assert!(parse_err(&["--measure"], &[]).contains("--measure needs a value"));
+        assert!(parse_err(&["--channels"], &["--channels"]).contains("needs a value"));
+        let (_, flags) =
+            HarnessOpts::parse_with(["--channels".to_string(), String::new()], &["--channels"])
+                .unwrap();
+        assert!(flags.list::<usize>("--channels", vec![1]).is_err(), "empty channel list");
+        let (_, flags) =
+            HarnessOpts::parse_with(["--channels".to_string(), "1,x".into()], &["--channels"])
+                .unwrap();
+        assert!(flags.list::<usize>("--channels", vec![1]).is_err(), "bad channel entry");
+        let usage = HarnessOpts::flags(&["--mixes"]);
+        assert_eq!((usage.len(), usage.last()), (18, Some(&"--mixes")));
+    }
+
+    #[test]
+    fn extra_flags_parse_through_the_shared_parser() {
+        let args = ["--mixes", "3", "--scale", "tiny", "--channels", "1, 2,4"].map(String::from);
+        let (o, flags) = HarnessOpts::parse_with(args, &["--mixes", "--channels"]).unwrap();
+        assert_eq!(o.scale, SuiteScale::Tiny);
+        assert_eq!(flags.number("--mixes", 50usize), Ok(3));
+        assert_eq!(flags.list("--channels", vec![8usize]), Ok(vec![1, 2, 4]));
+        assert_eq!(flags.value("--system"), None);
+        assert_eq!(flags.number("--system", 7u32), Ok(7), "absent flags take the default");
     }
 
     #[test]
     fn manifest_flags_control_matrix_options() {
-        let o = HarnessOpts::parse(Vec::<String>::new());
+        let o = HarnessOpts::parse(Vec::<String>::new()).unwrap();
         let m = o.matrix_options("fig7");
         assert_eq!(m.manifest_path.as_deref(), Some(Path::new("results/manifests/fig7.jsonl")));
         assert!(m.progress && m.evict);
 
-        let o = HarnessOpts::parse(vec!["--manifest".into(), "out/run.jsonl".into()]);
+        let o = HarnessOpts::parse(vec!["--manifest".into(), "out/run.jsonl".into()]).unwrap();
         assert_eq!(
             o.matrix_options("ablation2").manifest_path.as_deref(),
             Some(Path::new("out/run-ablation2.jsonl"))
         );
 
-        let o = HarnessOpts::parse(vec!["--no-manifest".to_string()]);
+        let o = HarnessOpts::parse(vec!["--no-manifest".to_string()]).unwrap();
         assert_eq!(o.matrix_options("fig7").manifest_path, None);
     }
 
     #[test]
     fn fault_tolerance_flags_control_matrix_options() {
-        let o = HarnessOpts::parse(Vec::<String>::new());
+        let o = HarnessOpts::parse(Vec::<String>::new()).unwrap();
         let m = o.matrix_options("fig7");
         assert!(!m.resume && !m.fail_fast);
         assert_eq!(m.watchdog, Watchdog::CyclesPerInstr(Watchdog::DEFAULT_CPI));
 
         let args: Vec<String> =
             ["--resume", "--fail-fast", "--watchdog-cpi", "64"].map(String::from).into();
-        let o = HarnessOpts::parse(args);
+        let o = HarnessOpts::parse(args).unwrap();
         let m = o.matrix_options("fig7");
         assert!(m.resume && m.fail_fast);
         assert_eq!(m.watchdog, Watchdog::CyclesPerInstr(64));
 
-        let o = HarnessOpts::parse(vec!["--no-watchdog".to_string()]);
+        let o = HarnessOpts::parse(vec!["--no-watchdog".to_string()]).unwrap();
         assert_eq!(o.matrix_options("fig7").watchdog, Watchdog::Off);
 
         // --resume without a manifest degenerates to a plain run.
         let args: Vec<String> = ["--resume", "--no-manifest"].map(String::from).into();
-        assert!(!HarnessOpts::parse(args).matrix_options("fig7").resume);
+        assert!(!HarnessOpts::parse(args).unwrap().matrix_options("fig7").resume);
     }
 
     #[test]
     fn checkpoint_flags_control_matrix_options() {
         // No checkpoint layer requested: state dir stays unset.
-        let o = HarnessOpts::parse(Vec::<String>::new());
+        let o = HarnessOpts::parse(Vec::<String>::new()).unwrap();
         let m = o.matrix_options("fig7");
         assert_eq!(m.state_dir, None);
         assert!(!m.warmup_fork);
         assert_eq!(m.snapshot_every, 0);
 
         // Either layer enables the per-binary default state dir.
-        let o = HarnessOpts::parse(vec!["--warmup-fork".to_string()]);
+        let o = HarnessOpts::parse(vec!["--warmup-fork".to_string()]).unwrap();
         let m = o.matrix_options("fig7");
         assert_eq!(m.state_dir, Some(PathBuf::from("results/state/fig7")));
         assert!(m.warmup_fork);
         assert_eq!(m.snapshot_every, 0);
 
         let args: Vec<String> = ["--snapshot-every", "50000"].map(String::from).into();
-        let m = HarnessOpts::parse(args).matrix_options("fig7");
+        let m = HarnessOpts::parse(args).unwrap().matrix_options("fig7");
         assert_eq!(m.state_dir, Some(PathBuf::from("results/state/fig7")));
         assert!(!m.warmup_fork);
         assert_eq!(m.snapshot_every, 50_000);
 
         // --state-dir overrides the default location.
         let args: Vec<String> = ["--warmup-fork", "--state-dir", "ckpt"].map(String::from).into();
-        let m = HarnessOpts::parse(args).matrix_options("fig7");
+        let m = HarnessOpts::parse(args).unwrap().matrix_options("fig7");
         assert_eq!(m.state_dir, Some(PathBuf::from("ckpt")));
 
         // --state-dir alone enables no layer, so it writes no state.
         let args: Vec<String> = ["--state-dir", "ckpt"].map(String::from).into();
-        let m = HarnessOpts::parse(args).matrix_options("fig7");
+        let m = HarnessOpts::parse(args).unwrap().matrix_options("fig7");
         assert_eq!(m.state_dir, None);
         assert!(!m.warmup_fork);
         assert_eq!(m.snapshot_every, 0);
@@ -489,21 +563,26 @@ mod tests {
 
     #[test]
     fn telemetry_flags_parse_and_gate_the_config() {
-        let o = HarnessOpts::parse(Vec::<String>::new());
+        let o = HarnessOpts::parse(Vec::<String>::new()).unwrap();
         assert_eq!(o.telemetry, None);
         assert_eq!(o.interval, simtel::DEFAULT_INTERVAL_INSTRUCTIONS);
         assert_eq!(o.bench_out, None);
         assert!(o.telemetry_config().is_none(), "no --telemetry, no collector");
+        assert!(o.matrix_options("fig7").telemetry.is_none());
 
         let args: Vec<String> =
             ["--telemetry", "out/tel", "--interval", "5000", "--bench-out", "BENCH_sim.json"]
                 .map(String::from)
                 .into();
-        let o = HarnessOpts::parse(args);
+        let o = HarnessOpts::parse(args).unwrap();
         assert_eq!(o.telemetry.as_deref(), Some(Path::new("out/tel")));
         assert_eq!(o.bench_out.as_deref(), Some(Path::new("BENCH_sim.json")));
         let cfg = o.telemetry_config().expect("collector enabled");
         assert_eq!(cfg.interval_instructions, 5000);
+        // Every sweep collects under --telemetry, not only the tools that
+        // force it on.
+        let m = o.matrix_options("fig7").telemetry.expect("sweeps collect telemetry");
+        assert_eq!(m.interval_instructions, 5000);
     }
 
     #[test]

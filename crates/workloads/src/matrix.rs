@@ -68,7 +68,7 @@ use parking_lot::Mutex;
 use sdclp::{SdcLpConfig, SimError};
 use serde::Serialize;
 use simcore::hierarchy::MemorySystem;
-use simcore::{Budget, CompactTrace, Engine, SimResult};
+use simcore::{Budget, CompactTrace, Engine, SimResult, SystemConfig};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -101,6 +101,24 @@ impl SystemSpec {
         F: Fn(Kernel) -> Box<dyn MemorySystem + Send> + Send + Sync + 'static,
     {
         SystemSpec::Custom { label: label.into(), config: config.into(), build: Arc::new(build) }
+    }
+
+    /// An SDC+LP design point: `cfg` on top of `sys_cfg` (SDC size, LP
+    /// geometry and threshold, probe latency, L1D prefetcher sweeps). The
+    /// config repr is `"{cfg:?} {sys_cfg:?}"`.
+    pub fn sdclp(label: impl Into<String>, sys_cfg: SystemConfig, cfg: SdcLpConfig) -> Self {
+        SystemSpec::custom(label, format!("{cfg:?} {sys_cfg:?}"), move |_| {
+            Box::new(sdclp::sdclp_system(&sys_cfg, cfg))
+        })
+    }
+
+    /// The conventional hierarchy on a modified configuration (LLC
+    /// replacement, victim cache, L1D prefetcher). The config repr is
+    /// `"{cfg:?}"`.
+    pub fn baseline_with(label: impl Into<String>, cfg: SystemConfig) -> Self {
+        SystemSpec::custom(label, format!("{cfg:?}"), move |_| {
+            Box::new(simcore::BaselineHierarchy::new(&cfg))
+        })
     }
 
     /// A named design with its DRAM channel count overridden (the
@@ -228,7 +246,7 @@ impl PointStatus {
 }
 
 /// Serializable description of one completed run — one JSONL line.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct RunManifest {
     /// Position of this point in the submitted matrix.
     pub index: usize,
