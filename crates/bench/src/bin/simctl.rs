@@ -22,6 +22,9 @@
 //!   --manifest PATH     append each record's manifest JSONL line
 //! ```
 //!
+//! A bad command line exits with status 2 (like every gpbench binary); a
+//! daemon or transport error exits with status 1.
+//!
 //! Example — the Fig. 7 kron column through the daemon:
 //!
 //! ```text
@@ -44,13 +47,13 @@ fn main() -> ExitCode {
         args.remove(0);
         if args.is_empty() {
             eprintln!("error: --socket needs a path");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
         socket = args.remove(0).into();
     }
     let Some(command) = args.first().cloned() else {
         eprintln!("usage: simctl [--socket PATH] submit|status|cache-stats|results|shutdown");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     let rest = args.split_off(1);
     let client = Client::new(&socket);
@@ -63,7 +66,7 @@ fn main() -> ExitCode {
         "shutdown" => cmd_shutdown(&client),
         other => {
             eprintln!("unknown command {other:?} (try submit / status / cache-stats / results / shutdown)");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     match result {

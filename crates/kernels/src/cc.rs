@@ -39,8 +39,9 @@ pub fn connected_components<T: Tracer + ?Sized>(
 ) -> CcResult {
     let g = &input.csr;
     let n = g.num_vertices();
-    // Built for this run only; dropped when the run (recording) ends.
-    let oracle = input.oracle();
+    // Built for this run only, over the NA positions the tracer can still
+    // record; dropped when the run (recording) ends.
+    let oracle = input.oracle(t.remaining());
 
     let mut space = AddressSpace::new(asid);
     let oa = space.alloc(sid::OA, 8, n as u64 + 1);

@@ -153,11 +153,11 @@ mod tests {
         a.store(&mut rec, 0x43, 4);
         a.load_hinted(&mut rec, 0x44, 5, 777);
         rec.bubble(1);
-        let tr = rec.finish();
-        assert_eq!(tr.events[0].pc, 0x42);
-        assert_eq!(tr.events[0].sid, sid::NA);
-        assert_eq!(tr.events[0].addr, a.addr(3));
-        assert!(tr.events[1].is_write());
-        assert_eq!(tr.events[2].next_use, 777);
+        let events: Vec<_> = rec.finish().events.iter().collect();
+        assert_eq!(events[0].pc, 0x42);
+        assert_eq!(events[0].sid, sid::NA);
+        assert_eq!(events[0].addr, a.addr(3));
+        assert!(events[1].is_write());
+        assert_eq!(events[2].next_use, 777);
     }
 }

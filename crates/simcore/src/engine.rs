@@ -353,7 +353,7 @@ impl<M: MemorySystem> Engine<M> {
     /// next unconsumed event; stops early when the engine is done.
     pub fn replay_span(&mut self, trace: &CompactTrace, from: usize, max_events: usize) -> usize {
         let mut idx = from;
-        for ev in trace.events.iter().skip(from).take(max_events) {
+        for ev in trace.events.iter_from(from).take(max_events) {
             if self.done() {
                 break;
             }
@@ -518,6 +518,11 @@ impl<M: MemorySystem> Tracer for Engine<M> {
 
     fn done(&self) -> bool {
         self.timed_out || self.instrs >= self.window.total()
+    }
+
+    fn remaining(&self) -> Option<u64> {
+        let left = if self.timed_out { 0 } else { self.window.total().saturating_sub(self.instrs) };
+        Some(left)
     }
 }
 

@@ -2,12 +2,14 @@
 //! one LLC + DRAM backend, interleaved on a common timeline (Section IV-D
 //! methodology).
 //!
-//! Cores replay recorded traces. Simulation advances the core with the
-//! smallest local cycle so shared-resource contention (LLC capacity, DRAM
-//! banks and bus) is ordered consistently. A core that finishes its
-//! measurement window keeps replaying its trace — still generating
-//! contention — until every core has finished, matching the standard
-//! multi-programmed methodology.
+//! Cores replay recorded traces, wrapping a trace shorter than the window.
+//! Simulation advances the core with the smallest local cycle so
+//! shared-resource contention (LLC capacity, DRAM banks and bus) is
+//! ordered consistently. A core that finishes its measurement window is no
+//! longer scheduled: it stops replaying, and so stops generating
+//! contention, while the other cores finish. The usual multi-programmed
+//! methodology keeps finished cores running; EXPERIMENTS.md lists this
+//! under Known deviations.
 
 use crate::engine::TelSnap;
 use crate::hierarchy::{CoreMemory, SharedBackend};
@@ -154,6 +156,17 @@ impl<C: CoreMemory> MulticoreRun<C> {
         let every = self.engine.tel.interval_instructions();
         let window = self.engine.window;
         let mut stepped = 0u64;
+        // One sequential decoder per core at its stored position.
+        let mut cursors: Vec<_> = self
+            .cores
+            .iter()
+            .zip(traces)
+            .map(|(c, t)| {
+                let mut cursor = t.events.iter_from(c.event_idx);
+                cursor.wrap();
+                cursor
+            })
+            .collect();
         // Advance the unfinished core with the smallest local cycle.
         while stepped < max_steps {
             let Some(cid) = (0..n)
@@ -164,9 +177,11 @@ impl<C: CoreMemory> MulticoreRun<C> {
             };
             stepped += 1;
             let core = &mut self.cores[cid];
-            let trace = traces[cid];
-            let ev = trace.events[core.event_idx];
-            core.event_idx = (core.event_idx + 1) % trace.events.len();
+            let cursor = &mut cursors[cid];
+            // Never at the end: traces are non-empty and cursors wrap eagerly.
+            let Some(ev) = cursor.next() else { break };
+            cursor.wrap();
+            core.event_idx = cursor.pos();
             core.consumed += 1;
 
             let before = core.instrs;
@@ -399,6 +414,33 @@ mod tests {
         cfg.l1d.prefetcher = PrefetcherKind::None;
         cfg.l2c.prefetcher = PrefetcherKind::None;
         cfg
+    }
+
+    #[test]
+    fn a_finished_core_stops_replaying() {
+        let cfg = cfg();
+        // Core 0 loops over an L1-resident footprint, core 1 misses to
+        // DRAM: core 0 finishes its window long before core 1.
+        let traces =
+            [make_spaced_trace(3, 4_000, 64, 1), make_spaced_trace(4, 4_000, 10_000_000, 1)];
+        let refs: Vec<&CompactTrace> = traces.iter().collect();
+        let mems: Vec<CoreSide> = (0..2).map(|_| CoreSide::new(&cfg)).collect();
+        let engine = MulticoreEngine::new(mems, SharedBackend::new(&cfg), Window::new(0, 6_000));
+        let mut run = engine.start(&[0, 1 << 40], 4, 224);
+        while !run.cores[0].finished {
+            assert!(run.step_span(&refs, 1));
+        }
+        // Every event is one instruction, so the 6 000-instruction window
+        // is 6 000 events: the 4 000-event trace wrapped once.
+        let frozen = run.cores[0].consumed;
+        assert_eq!(frozen, 6_000);
+        assert_eq!(run.cores[0].event_idx, 2_000);
+        assert!(!run.cores[1].finished);
+        while run.step_span(&refs, 64) {
+            assert_eq!(run.cores[0].consumed, frozen, "finished core 0 replayed an event");
+        }
+        assert_eq!(run.cores[0].consumed, frozen);
+        assert!(run.cores[1].finished);
     }
 
     #[test]
