@@ -1,4 +1,9 @@
 //! `simctl`'s exit status: 2 for a bad command line, 1 for a daemon error.
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test when their setup cannot hold"
+)]
 
 use std::path::PathBuf;
 use std::process::Command;

@@ -2,6 +2,11 @@
 //! `simserved`, drive it with `simctl`, kill it with SIGKILL mid-sweep,
 //! and verify a restarted daemon recovers the socket, reaps orphaned
 //! checkpoints, and keeps its persisted warmup forks warm.
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test when their setup cannot hold"
+)]
 
 use std::io::{BufRead, BufReader};
 use std::os::unix::net::UnixStream;

@@ -1,4 +1,7 @@
 #![forbid(unsafe_code)]
+// A simulator library reports through stats, telemetry sinks and
+// manifests; a stray print would interleave with the harness's output.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 //! # sdclp — the Side Data Cache + Large Predictor proposal
 //!
 //! From-scratch implementation of the primary contribution of *Practically

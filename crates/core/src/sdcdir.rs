@@ -53,7 +53,6 @@ impl SdcDir {
     }
 
     fn set_of(&self, block: u64) -> usize {
-        // simlint::allow(unit-mismatch): deliberate modulo set-indexing; entries store the full block address (no truncated tags), so any set count is alias-free.
         (block % self.sets as u64) as usize
     }
 

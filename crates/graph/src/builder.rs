@@ -38,7 +38,6 @@ pub fn build_csr(num_vertices: usize, edges: &[(VertexId, VertexId)], opts: Buil
 /// run in place over edge-balanced row ranges; a sorted, deduplicated row is
 /// canonical, and one `copy_within` pass closes the gaps the dropped
 /// duplicates leave.
-// simlint::allow(panic-path): edge endpoints are < num_vertices by generator contract, so count/cursor indexing is in range, and slot and row ranges come from the prefix sums of those counts; the parallel closures write disjoint memory: each scatter slice only the slots its own cursors walk, each sort job only its own split_at_mut row range
 pub(crate) fn build_csr_chunked(
     num_vertices: usize,
     edges: &[(VertexId, VertexId)],
@@ -140,7 +139,6 @@ pub(crate) fn build_csr_chunked(
 /// Sort and dedup consecutive rows packed in `lists`, compacting them to its
 /// front. `ends[i]` is row `i`'s end offset, counted from `base` on entry and
 /// from the start of `lists` on return. Returns the entries kept.
-// simlint::allow(panic-path): ends are non-decreasing offsets into lists, so every row range is in bounds, and the write cursor trails the read cursor
 fn sort_dedup_rows(base: u64, ends: &mut [u64], lists: &mut [VertexId]) -> u64 {
     let (mut lo, mut kept) = (0, 0);
     for end in ends {

@@ -23,9 +23,11 @@ impl Csr {
     /// Panics on malformed arrays — for trusted in-process construction
     /// (generators, builders). Untrusted bytes (disk caches, user files)
     /// must go through [`Csr::try_from_raw`] instead.
-    // simlint::allow(panic-path): documented contract: from_raw panics on malformed arrays, try_from_raw is the checked path
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract — from_raw panics on malformed arrays; use try_from_raw() to handle errors"
+    )]
     pub fn from_raw(offsets: Vec<u64>, neighbors: Vec<VertexId>) -> Self {
-        // simlint::allow(unwrap): documented contract — from_raw panics on malformed arrays; use try_from_raw() to handle errors
         Csr::try_from_raw(offsets, neighbors).expect("invalid CSR arrays")
     }
 
@@ -69,14 +71,12 @@ impl Csr {
 
     /// Degree of vertex `v` (out-degree for CSR, in-degree for CSC).
     #[inline]
-    // simlint::allow(panic-path): v < num_vertices per the CSR contract; offsets has num_vertices + 1 entries
     pub fn degree(&self, v: VertexId) -> usize {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
     }
 
     /// Neighbor slice of vertex `v`.
     #[inline]
-    // simlint::allow(panic-path): v < num_vertices per the CSR contract; offsets has num_vertices + 1 entries
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
         let lo = self.offsets[v as usize] as usize;
         let hi = self.offsets[v as usize + 1] as usize;
@@ -86,7 +86,6 @@ impl Csr {
     /// Edge-index range of vertex `v` within the NA (what `OA[u]` /
     /// `OA[u+1]` give the instrumented kernels).
     #[inline]
-    // simlint::allow(panic-path): v < num_vertices per the CSR contract; offsets has num_vertices + 1 entries
     pub fn edge_range(&self, v: VertexId) -> (u64, u64) {
         (self.offsets[v as usize], self.offsets[v as usize + 1])
     }
@@ -103,7 +102,6 @@ impl Csr {
 
     /// Neighbor at global edge index `i`.
     #[inline]
-    // simlint::allow(panic-path): i < num_edges per the caller contract; neighbors has num_edges entries
     pub fn neighbor_at(&self, i: u64) -> VertexId {
         self.neighbors[i as usize]
     }

@@ -36,7 +36,6 @@ pub struct AliasTable {
 }
 
 impl AliasTable {
-    // simlint::allow(panic-path): prob/alias/worklists are sized n and hold indexes drawn from 0..n
     pub fn new(weights: &[f64]) -> Self {
         let n = weights.len();
         assert!(n > 0);
@@ -85,7 +84,6 @@ impl AliasTable {
 
     /// The table half of a sample: the slot's own entry or its alias.
     #[inline]
-    // simlint::allow(panic-path): slots are drawn from 0..n, the table's length
     fn resolve(&self, slot: Slot) -> u32 {
         if slot.coin < self.prob[slot.i] {
             slot.i as u32

@@ -32,7 +32,6 @@ pub struct BcResult {
 }
 
 /// Run Brandes BC from `sources`.
-// simlint::allow(panic-path): vertex arrays are sized num_vertices and neighbor ids are validated by CSR construction; sigma divisors are nonzero on traversed edges
 pub fn betweenness<T: Tracer + ?Sized>(
     input: &KernelInput,
     asid: u8,

@@ -43,7 +43,6 @@ pub struct BfsResult {
 const PULL_THRESHOLD: f64 = 0.05;
 
 /// Run direction-optimizing BFS from `source`.
-// simlint::allow(panic-path): vertex arrays are sized num_vertices and neighbor ids are validated by CSR construction
 pub fn bfs<T: Tracer + ?Sized>(
     input: &KernelInput,
     asid: u8,

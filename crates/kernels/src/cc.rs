@@ -9,6 +9,7 @@
 use crate::input::KernelInput;
 use crate::mem::{sid, AddressSpace};
 use crate::mix;
+use crate::oracle::NextUseOracle;
 use gpgraph::VertexId;
 use simcore::trace::Tracer;
 
@@ -31,7 +32,6 @@ pub struct CcResult {
 }
 
 /// Run Shiloach–Vishkin connected components.
-// simlint::allow(panic-path): vertex arrays are sized num_vertices and neighbor ids are validated by CSR construction
 pub fn connected_components<T: Tracer + ?Sized>(
     input: &KernelInput,
     asid: u8,
@@ -39,9 +39,9 @@ pub fn connected_components<T: Tracer + ?Sized>(
 ) -> CcResult {
     let g = &input.csr;
     let n = g.num_vertices();
-    // Built for this run only, over the NA positions the tracer can still
-    // record; dropped when the run (recording) ends.
-    let oracle = input.oracle(t.remaining());
+    // Built for this run only, over the NA positions of the swept CSR the
+    // tracer can still record; dropped when the run (recording) ends.
+    let oracle = NextUseOracle::build(g, t.remaining());
 
     let mut space = AddressSpace::new(asid);
     let oa = space.alloc(sid::OA, 8, n as u64 + 1);

@@ -1,6 +1,5 @@
 //! Shared kernel input: the graph in both directions.
 
-use crate::oracle::NextUseOracle;
 use gpgraph::{transpose, Csr, VertexId};
 use std::sync::Arc;
 
@@ -31,16 +30,6 @@ impl KernelInput {
 
     pub fn num_edges(&self) -> usize {
         self.csr.num_edges()
-    }
-
-    /// Build the T-OPT next-use oracle over the CSC sweep order for a run
-    /// whose tracer accepts at most `bound` more instructions (see
-    /// [`NextUseOracle::build`]). The table holds one `u32` per
-    /// neighbors-array slot the run can record plus one per vertex, so it
-    /// is not kept with the graph: the hinted kernels build it at the start
-    /// of a run and free it when the run (a trace recording) ends.
-    pub fn oracle(&self, bound: Option<u64>) -> NextUseOracle {
-        NextUseOracle::build(&self.csc, bound)
     }
 
     /// Deterministic traversal source: the highest-out-degree vertex
@@ -87,7 +76,7 @@ mod tests {
         // so vertex 0's first slot is 0 and its next one is 1.
         let g = build_csr(3, &[(0, 1), (0, 2), (1, 2)], BuildOptions::default());
         let input = KernelInput::from_directed(g);
-        let oracle = input.oracle(None);
+        let oracle = crate::NextUseOracle::build(&input.csc, None);
         assert_eq!(oracle.sweep_len(), 3);
         assert_eq!(oracle.hint(0, 0, 0), 1);
         // Slot 1 is vertex 0's last in the sweep: next is slot 0 of sweep 1.

@@ -5,10 +5,11 @@
 //! (pull-PageRank, Shiloach–Vishkin CC), the position at which a vertex's
 //! property element is next accessed is fully determined by the NA: it is
 //! the next NA slot holding the same vertex id. This module precomputes
-//! that successor chain once per graph; the instrumented kernels attach the
-//! resulting positions as `MemRef::next_use` hints, giving the T-OPT LLC
-//! replacement policy the same foreknowledge the original hardware gets
-//! from the transpose.
+//! that successor chain over the NA a kernel sweeps (the CSC for pull-PR,
+//! the CSR for CC). A kernel builds the table at the start of a run, drops
+//! it when the run ends, and attaches the resulting positions as
+//! `MemRef::next_use` hints, giving the T-OPT LLC replacement policy the
+//! same foreknowledge the original hardware gets from the transpose.
 
 use gpgraph::{Csr, VertexId};
 
@@ -39,7 +40,6 @@ impl NextUseOracle {
     /// each stored entry equals the unbounded table's.
     ///
     /// [`Tracer::remaining`]: simcore::trace::Tracer::remaining
-    // simlint::allow(panic-path): positions are edge indexes < num_edges; tables are sized num_edges/num_vertices
     pub fn build(g: &Csr, bound: Option<u64>) -> Self {
         let e = g.num_edges();
         assert!(e < NONE as usize, "graph too large for 32-bit oracle positions");
@@ -69,7 +69,6 @@ impl NextUseOracle {
     /// if the oracle position would overflow (effectively "far future") or
     /// `i` lies past the build bound (the tracer drops that event).
     #[inline]
-    // simlint::allow(panic-path): v < num_vertices per kernel contract; first_pos is sized to match
     pub fn hint(&self, sweep: u32, i: u32, v: VertexId) -> u32 {
         let Some(&same_sweep) = self.next_pos.get(i as usize) else {
             return NONE;

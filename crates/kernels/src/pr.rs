@@ -9,6 +9,7 @@
 use crate::input::KernelInput;
 use crate::mem::{sid, AddressSpace};
 use crate::mix;
+use crate::oracle::NextUseOracle;
 use simcore::trace::Tracer;
 
 /// Synthetic PCs, one per static access site.
@@ -31,7 +32,6 @@ pub struct PrResult {
 }
 
 /// Run pull-PageRank, emitting the memory trace into `t`.
-// simlint::allow(panic-path): vertex arrays are sized num_vertices and neighbor ids are validated by CSR construction
 pub fn pagerank<T: Tracer + ?Sized>(
     input: &KernelInput,
     asid: u8,
@@ -43,9 +43,9 @@ pub fn pagerank<T: Tracer + ?Sized>(
     let g = &input.csc; // pull: incoming neighbors
     let out = &input.csr;
     let n = g.num_vertices();
-    // Built for this run only, over the NA positions the tracer can still
-    // record; dropped when the run (recording) ends.
-    let oracle = input.oracle(t.remaining());
+    // Built for this run only, over the NA positions of the swept CSC the
+    // tracer can still record; dropped when the run (recording) ends.
+    let oracle = NextUseOracle::build(g, t.remaining());
 
     let mut space = AddressSpace::new(asid);
     let oa = space.alloc(sid::OA, 8, n as u64 + 1);

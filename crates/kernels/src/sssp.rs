@@ -33,7 +33,6 @@ pub struct SsspResult {
 }
 
 /// Run δ-stepping SSSP from `source` with bucket width `delta`.
-// simlint::allow(panic-path): vertex arrays are sized num_vertices; the bucket divisor delta is a nonzero kernel parameter
 pub fn sssp<T: Tracer + ?Sized>(
     input: &KernelInput,
     asid: u8,

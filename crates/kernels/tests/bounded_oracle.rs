@@ -1,7 +1,10 @@
 //! The T-OPT oracle is built only for the neighbors-array positions a
-//! recording can reach; the recorded events must not change.
+//! recording can reach; the recorded events must not change. And it is
+//! built over the neighbors array the kernel sweeps.
 
-use gpkernels::{run_kernel_windowed, Kernel, KernelInput};
+use gpgraph::{build_csr, BuildOptions, VertexId};
+use gpkernels::cc::connected_components;
+use gpkernels::{run_kernel_windowed, sid, Kernel, KernelInput, NextUseOracle};
 use simcore::trace::{CompactTrace, MemRef, RecordingTracer, Tracer};
 
 /// A recorder that hides its bound, so kernels build the full oracle.
@@ -63,4 +66,49 @@ fn bounded_oracle_records_the_same_events_as_the_full_one() {
             }
         }
     }
+}
+
+/// Collects the hint of every property load that directly follows a
+/// neighbors-array load: in `cc`'s hook sweep, the `comp[NA[i]]` loads.
+#[derive(Default)]
+struct SweepHints {
+    after_na: bool,
+    hints: Vec<u32>,
+}
+
+impl Tracer for SweepHints {
+    fn mem(&mut self, r: MemRef) {
+        if self.after_na {
+            self.hints.push(r.next_use);
+        }
+        self.after_na = r.sid == sid::NA && !r.is_write;
+    }
+
+    fn bubble(&mut self, _n: u32) {}
+
+    fn done(&self) -> bool {
+        false
+    }
+}
+
+#[test]
+fn cc_hints_follow_the_csr_it_sweeps() {
+    // A directed graph, so the CSR and CSC neighbors arrays differ.
+    let n = 64u32;
+    let edges: Vec<(VertexId, VertexId)> =
+        (0..4 * n).map(|k| (k % n, (k * 7 + k / n * 13 + 1) % n)).collect();
+    let input = KernelInput::from_directed(build_csr(n as usize, &edges, BuildOptions::default()));
+    let na = input.num_edges();
+    let swept: Vec<VertexId> = (0..na as u64).map(|i| input.csr.neighbor_at(i)).collect();
+    let transposed: Vec<VertexId> = (0..na as u64).map(|i| input.csc.neighbor_at(i)).collect();
+    assert_ne!(swept, transposed, "the test graph must not be symmetric");
+
+    let mut t = SweepHints::default();
+    let rounds = connected_components(&input, 0, &mut t).rounds as usize;
+    assert_eq!(t.hints.len(), rounds * na, "one hinted load per NA slot per round");
+    let oracle = NextUseOracle::build(&input.csr, None);
+    let expected: Vec<u32> = (0..t.hints.len())
+        .map(|k| oracle.hint((k / na) as u32, (k % na) as u32, swept[k % na]))
+        .collect();
+    assert_eq!(t.hints, expected);
 }

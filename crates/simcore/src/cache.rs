@@ -93,6 +93,10 @@ impl Cache {
     }
 
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "only the low bits survive the power-of-two set mask"
+    )]
     fn set_of(&self, block: u64) -> usize {
         // Sets are validated to be a power of two, so the mask is exact
         // (and avoids a hardware divide on the hot path).

@@ -137,6 +137,10 @@ pub struct DramConfig {
 
 impl DramConfig {
     /// Convert DRAM bus cycles to core cycles (rounded up).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "f64 -> u64 of a small positive cycle count; the ceil() makes dropping the fraction exact"
+    )]
     pub fn to_core_cycles(&self, bus_cycles: u64) -> u64 {
         let ratio = self.core_clock_ghz / self.bus_clock_ghz;
         (bus_cycles as f64 * ratio).ceil() as u64

@@ -78,6 +78,10 @@ impl DistillCache {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "only the low bits survive the power-of-two set mask"
+    )]
     fn set_of(&self, block: u64) -> usize {
         // Power-of-two set counts are enforced by the inner LOC cache
         // (same geometry), so the mask is exact.
@@ -125,6 +129,7 @@ impl DistillCache {
         if used == 0 || used > DISTILL_MAX_WORDS {
             return;
         }
+        #[expect(clippy::cast_possible_truncation, reason = "WORDS_PER_BLOCK is 8")]
         for w in 0..WORDS_PER_BLOCK as u8 {
             if ev.used_words & (1 << w) != 0 {
                 self.woc_insert(ev.block, w);

@@ -62,10 +62,13 @@ impl Dram {
     /// blocks across channels), the next bits are the column within a row
     /// (64 blocks = one 4 KiB row), then bank, then row — so a sequential
     /// stream enjoys row-buffer hits while still rotating banks across rows.
-    // simlint::allow(panic-path): channel/bank/row geometry divisors come from DramConfig and are nonzero by construction
     fn map(&self, block: u64) -> (usize, usize, u64) {
         let channels = self.cfg.channels as u64;
         let banks = self.cfg.banks_per_channel as u64;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the remainder is below the channel count, itself a usize"
+        )]
         let channel = (block % channels) as usize;
         let rest = block / channels / 64; // strip column bits
         let bank = (rest % banks) as usize;

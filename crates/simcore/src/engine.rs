@@ -305,7 +305,6 @@ impl<M: MemorySystem> Engine<M> {
     /// Emit at most one interval per call. The cadence is instruction
     /// driven, but an interval must also advance the cycle clock so
     /// `end_cycle` stays strictly monotone across snapshots.
-    // simlint::allow(panic-path): the snapshot interval is nonzero whenever windowed measurement is enabled
     fn maybe_snapshot(&mut self) {
         let measured = self.instrs.saturating_sub(self.window.warmup);
         if measured < self.tel_snap.next_instrs {

@@ -1,4 +1,7 @@
 #![forbid(unsafe_code)]
+// A simulator library reports through stats, telemetry sinks and
+// manifests; a stray print would interleave with the harness's output.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 //! # simcore — timing-simulator substrate
 //!
 //! A ChampSim-style, trace-driven timing model of an out-of-order core and

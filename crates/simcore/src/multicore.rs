@@ -56,6 +56,10 @@ impl<C: CoreMemory> MulticoreEngine<C> {
     /// machine-wide, so they stay zero in per-core intervals and appear
     /// only in the final per-run stats.
     pub fn attach_telemetry(&mut self, tel: TelemetryHandle) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "core ids are below the core count, a handful"
+        )]
         for (i, mem) in self.mems.iter_mut().enumerate() {
             mem.attach_telemetry(tel.for_core(i as u32));
         }
@@ -90,7 +94,6 @@ impl<C: CoreMemory> MulticoreEngine<C> {
     /// Begin a steppable run: build per-core state and return the driver.
     /// Splitting construction from stepping lets the sweep layer advance
     /// the machine in bounded spans and snapshot between them.
-    // simlint::allow(panic-path): `cores` is built with exactly `self.mems.len()` entries, so indexing mems by a cores index cannot fire
     pub fn start(self, offsets: &[u64], width: usize, rob_entries: usize) -> MulticoreRun<C> {
         assert_eq!(offsets.len(), self.mems.len());
         let every = self.tel.interval_instructions();
@@ -148,7 +151,6 @@ impl<C: CoreMemory> MulticoreRun<C> {
     /// Advance the machine by at most `max_steps` scheduler steps (each
     /// step replays one trace event on the core with the smallest local
     /// cycle). Returns `true` while any core is still running.
-    // simlint::allow(panic-path): per-core vectors are all sized to the core count fixed at construction, which is also the only divisor
     pub fn step_span(&mut self, traces: &[&CompactTrace], max_steps: u64) -> bool {
         assert_eq!(traces.len(), self.cores.len());
         assert!(traces.iter().all(|t| !t.is_empty()), "cannot replay an empty trace");
@@ -222,6 +224,10 @@ impl<C: CoreMemory> MulticoreRun<C> {
                 let measured = core.instrs.saturating_sub(window.warmup);
                 let now = core.rob.current_cycle();
                 if measured >= core.tel.next_instrs && now > core.tel.last_cycle {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "core ids are below the core count, a handful"
+                    )]
                     let interval = core.tel.build(
                         cid as u32,
                         now,
@@ -246,6 +252,10 @@ impl<C: CoreMemory> MulticoreRun<C> {
                     let measured = core.result_instrs;
                     if measured > core.tel.prev_instrs {
                         let end_cycle = end.max(core.tel.last_cycle + 1);
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "core ids are below the core count, a handful"
+                        )]
                         let interval = core.tel.build(
                             cid as u32,
                             end_cycle,

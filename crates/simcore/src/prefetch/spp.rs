@@ -96,6 +96,10 @@ impl PageIndex {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "slot indexes the signature table, whose size is a config value far below 2^32"
+    )]
     fn insert(&mut self, page: u64, slot: usize) {
         let mut i = self.probe_start(page);
         let mut place = None;
@@ -221,6 +225,10 @@ impl Spp {
 
     /// Push `slot` to the MRU end of the recency list.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "slot indexes the signature table, whose size is a config value far below 2^32"
+    )]
     fn lru_push_front(&mut self, slot: usize) {
         self.lru_prev[slot] = LRU_NONE;
         self.lru_next[slot] = self.lru_head;
@@ -375,6 +383,7 @@ impl Spp {
                 break;
             }
             let next = cur_offset + p.delta;
+            #[expect(clippy::cast_possible_truncation, reason = "BLOCKS_PER_PAGE is 64")]
             if !(0..BLOCKS_PER_PAGE as i32).contains(&next) {
                 break; // never cross the page, as real SPP (sans GHR) cannot
             }

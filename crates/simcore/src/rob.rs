@@ -91,7 +91,6 @@ impl RobModel {
     /// retire-width limit; returns the cycle it left the ROB and what it
     /// was waiting on.
     #[inline]
-    // simlint::allow(panic-path): head index wraps mod capacity; len > 0 is asserted above
     fn retire_head(&mut self) -> (u64, StallTag) {
         debug_assert!(self.len > 0, "retire_head is only called on a non-empty ROB");
         let entry = self.buf[self.head];
@@ -160,7 +159,7 @@ impl RobModel {
     /// the full state. Both phases replicate [`RobModel::bubble`] exactly —
     /// same dispatch, retire, and stall-charge sequence — they only hoist
     /// the per-instruction branches out of the hot loop.
-    // simlint::allow(panic-path): capacity is nonzero by RobModel construction
+    #[expect(clippy::cast_possible_truncation, reason = "n % width is below width, itself a usize")]
     pub fn bubbles(&mut self, n: u64) {
         if self.len == 0 && n > 2 * self.capacity as u64 {
             // Fast path: with an empty ROB a pure bubble burst is limited

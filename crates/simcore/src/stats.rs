@@ -297,7 +297,6 @@ impl StrideProfiler {
 
     /// Record one access. `served_by_dram` is true if the demand request
     /// missed everywhere and was satisfied from main memory.
-    // simlint::allow(panic-path): stride bucket indexes are clamped to the histogram size when computed
     pub fn observe(&mut self, pc: u16, block: u64, served_by_dram: bool) {
         let bucket = match self.last_block.insert(pc, block) {
             Some(prev) => stride_bucket(prev.abs_diff(block)),

@@ -41,6 +41,10 @@ impl TlbLevel {
     }
 
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "only the low bits survive the power-of-two set mask"
+    )]
     fn set_of(&self, page: u64) -> usize {
         (page as usize) & (self.sets - 1)
     }

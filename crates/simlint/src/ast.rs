@@ -1,10 +1,10 @@
 //! The lightweight AST the recursive-descent [`crate::parser`] produces.
 //!
 //! This is deliberately not a full Rust AST: it keeps exactly the shape
-//! the semantic rules (D7–D10) consume — items, `use` aliases, struct
-//! field types, fn signatures with receivers, and per-body *fact lists*
-//! (for-loop sources, call sites, index/division sites, accumulations)
-//! instead of full expression trees. Everything the rules do not read is
+//! the semantic rules (D7, D8) and the dataflow rules (D11, D13) consume —
+//! items, `use` aliases, struct field types, fn signatures, and per-body
+//! *fact lists* (for-loop sources, call sites, accumulations, def/use
+//! events) instead of full expression trees. Everything the rules do not read is
 //! parsed far enough to be skipped soundly and then dropped.
 
 /// A parsed source file: the flattened item list (items inside inline
@@ -17,8 +17,6 @@ pub struct File {
 /// One top-level (or module-nested) item.
 #[derive(Debug)]
 pub struct Item {
-    /// 1-based line of the item's first token (after attributes).
-    pub line: u32,
     /// True when the item (or an enclosing module) is `#[cfg(test)]` /
     /// `#[test]`-gated — rule passes skip test code.
     pub cfg_test: bool,
@@ -71,28 +69,15 @@ impl TypeRef {
     }
 }
 
-/// How a method takes `self`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Receiver {
-    /// `&self`
-    Ref,
-    /// `&mut self`
-    Mut,
-    /// `self` / `mut self`
-    Owned,
-}
-
 /// A function definition (free, impl method, or trait default).
 #[derive(Debug)]
 pub struct FnDef {
     pub name: String,
     pub line: u32,
     pub cfg_test: bool,
-    pub receiver: Option<Receiver>,
-    /// `(name, type)` for plain `name: Type` params; pattern params keep
-    /// the type under an empty name.
+    /// `(name, type)` for plain `name: Type` params; pattern params (and
+    /// a typed `self: Ty` receiver) keep the type under an empty name.
     pub params: Vec<(String, TypeRef)>,
-    pub ret: Option<TypeRef>,
     /// `None` for bodyless trait signatures.
     pub body: Option<Body>,
 }
@@ -100,9 +85,6 @@ pub struct FnDef {
 /// `impl [Trait for] SelfTy { .. }`
 #[derive(Debug)]
 pub struct ImplBlock {
-    pub line: u32,
-    /// The trait name when this is a trait impl (`TelemetrySink`, ...).
-    pub trait_name: Option<String>,
     /// Base name of the implemented type (`Engine`, `Collector`, ...).
     pub self_ty: String,
     pub fns: Vec<FnDef>,
@@ -203,17 +185,6 @@ pub struct StructLit {
     pub uses: Vec<UseRef>,
 }
 
-/// `lhs op rhs` for the unit-safety ops (`+ - < > <= >= == != %`).
-/// Operands are kept as chains; D12 only fires when *both* sides
-/// classify to a known unit.
-#[derive(Debug)]
-pub struct BinOpSite {
-    pub line: u32,
-    pub op: String,
-    pub lhs: Chain,
-    pub rhs: Chain,
-}
-
 /// `let [mut] name [: ty] = init;`
 #[derive(Debug)]
 pub struct Local {
@@ -224,9 +195,6 @@ pub struct Local {
     pub init: Option<Chain>,
     /// Turbofish of a `.collect::<T>()` in the initializer, if any.
     pub collect_ty: Option<TypeRef>,
-    /// The initializer contains `&`, `%`, `min`, or `clamp` — used by
-    /// D9's bounded-index heuristic.
-    pub bounded_init: bool,
     /// The initializer is visibly a float expression (float literal or
     /// `as f64` / `as f32` cast).
     pub float_init: bool,
@@ -257,11 +225,6 @@ pub struct MethodCall {
     pub turbofish: Option<TypeRef>,
     /// Token span of the argument list (inside the parentheses).
     pub args: (usize, usize),
-    /// `&mut` appears at the top level of the argument tokens.
-    pub mut_ref_arg: bool,
-    /// An argument closure assigns through `self.` (mutates captured
-    /// simulator state).
-    pub closure_self_write: bool,
     /// Value reads anywhere inside the argument list (flat — the taint
     /// pass does not map arguments to parameter positions).
     pub arg_uses: Vec<UseRef>,
@@ -282,39 +245,6 @@ pub struct PathCall {
     pub args: (usize, usize),
     /// Value reads anywhere inside the argument list.
     pub arg_uses: Vec<UseRef>,
-}
-
-/// `name!(..)` macro invocation.
-#[derive(Debug)]
-pub struct MacroCall {
-    pub name: String,
-    pub line: u32,
-}
-
-/// `base[index]` indexing expression.
-#[derive(Debug)]
-pub struct IndexSite {
-    pub line: u32,
-    pub base: Chain,
-    /// The index tokens contain a masking/mod/min shape (`&`, `%`,
-    /// `min`, `clamp`) or are a literal — bounded by construction.
-    pub bounded: bool,
-    /// Single-identifier index, for the bounded-local lookup.
-    pub index_ident: Option<String>,
-}
-
-/// Integer-capable `/` `%` (or `/=` `%=`) site.
-#[derive(Debug)]
-pub struct DivSite {
-    pub line: u32,
-    /// Evidence the operands are floats (literal with `.`, `as f64`,
-    /// f32/f64 idents nearby).
-    pub float_hint: bool,
-    /// Divisor is a nonzero numeric literal or carries a `max(`/`.max`
-    /// guard making it nonzero.
-    pub nonzero_divisor: bool,
-    /// Single-identifier divisor, for local type/guard lookup.
-    pub divisor_ident: Option<String>,
 }
 
 /// `target += ..` / `target *= ..` accumulation.
@@ -338,12 +268,8 @@ pub struct Body {
     pub for_loops: Vec<ForLoop>,
     pub method_calls: Vec<MethodCall>,
     pub path_calls: Vec<PathCall>,
-    pub macro_calls: Vec<MacroCall>,
-    pub index_sites: Vec<IndexSite>,
-    pub div_sites: Vec<DivSite>,
     pub accum_sites: Vec<AccumSite>,
     pub assigns: Vec<AssignSite>,
     pub returns: Vec<ReturnSite>,
     pub struct_lits: Vec<StructLit>,
-    pub binops: Vec<BinOpSite>,
 }

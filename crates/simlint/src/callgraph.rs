@@ -1,13 +1,13 @@
 //! Intra-workspace call graph over the parsed files.
 //!
-//! Nodes are fn definitions keyed by `(self_ty, name)`. Edges come from
-//! body facts: path calls resolve by path (`Ty::fn`, `mod::fn`, bare
-//! free fns), method calls resolve by *receiver type* where the
-//! [`crate::resolve::Resolver`] can prove one, with a bounded name-based
-//! fallback for the rest. The graph over-approximates (extra edges are
-//! fine for D9's reachability — they only make the check more
-//! conservative) except where the std-method denylist deliberately drops
-//! edges that would otherwise connect everything to everything.
+//! Nodes are fn definitions keyed by `(self_ty, name)`. Each call site
+//! resolves to its callee nodes: path calls by path (`Ty::fn`, `mod::fn`,
+//! bare free fns), method calls by *receiver type* where the
+//! [`crate::resolve::Resolver`] can prove one. The D11/D13 dataflow reads
+//! these per-site targets to map a call onto its callees' summaries. A
+//! call whose receiver type is unproven (a trait-typed generic, a call
+//! result) links nothing, which errs toward silence like every other
+//! approximation in simlint.
 
 use crate::ast::{ChainBase, File, FnDef, ItemKind};
 use crate::resolve::{FnScope, Resolver};
@@ -20,7 +20,6 @@ pub struct FnNode {
     /// Impl self type (or trait name for trait default bodies).
     pub self_ty: Option<String>,
     pub name: String,
-    pub line: u32,
     pub cfg_test: bool,
     /// (item index, fn index) locating the `FnDef` in its file: the fn
     /// index is `None` for free fns, `Some(i)` into an impl/trait.
@@ -37,313 +36,112 @@ impl FnNode {
     }
 }
 
-/// Methods whose names are so common in std that a name-based fallback
-/// edge would connect unrelated code. Typed resolution still creates
-/// edges for these; only the fallback is suppressed.
-const FALLBACK_DENY: [&str; 41] = [
-    "new",
-    "clone",
-    "default",
-    "len",
-    "is_empty",
-    "push",
-    "pop",
-    "insert",
-    "remove",
-    "get",
-    "get_mut",
-    "contains",
-    "contains_key",
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "next",
-    "clear",
-    "extend",
-    "drain",
-    "entry",
-    "take",
-    "replace",
-    "min",
-    "max",
-    "clamp",
-    "to_string",
-    "to_owned",
-    "as_ref",
-    "as_str",
-    "into",
-    "from",
-    "fmt",
-    "eq",
-    "cmp",
-    "hash",
-    "write",
-    "flush",
-    "sort",
-    "fill",
-    "parse",
-];
-
-/// Most workspace fns with the same name that a fallback edge may target
-/// before we decide the name is too ambiguous to mean anything.
-const FALLBACK_CAP: usize = 4;
-
 pub struct CallGraph {
     pub nodes: Vec<FnNode>,
-    edges: Vec<Vec<usize>>,
     /// Per-node: call-site token position (`MethodCall::pos` /
-    /// `PathCall::pos`) → resolved callee node ids. The dataflow pass
-    /// uses this to map *specific* calls to callee summaries, where the
-    /// flat `edges` only answer reachability.
+    /// `PathCall::pos`) → resolved callee node ids.
     call_targets: Vec<BTreeMap<usize, Vec<usize>>>,
 }
 
 impl CallGraph {
-    /// Build nodes and edges for the whole workspace.
+    /// Build nodes and per-site call targets for the whole workspace.
     pub fn build(files: &[&File], resolver: &Resolver) -> CallGraph {
+        // Every fn with a body (bodyless trait signatures are no callees).
         let mut nodes = Vec::new();
+        for (fi, file) in files.iter().enumerate() {
+            for (ii, item) in file.items.iter().enumerate() {
+                let (self_ty, fns): (Option<&String>, Vec<(Option<usize>, &FnDef)>) = match &item
+                    .kind
+                {
+                    ItemKind::Fn(f) => (None, vec![(None, f.as_ref())]),
+                    ItemKind::Impl(ib) => (
+                        Some(&ib.self_ty),
+                        ib.fns.iter().enumerate().map(|(k, f)| (Some(k), f)).collect(),
+                    ),
+                    ItemKind::Trait { name, fns } => {
+                        (Some(name), fns.iter().enumerate().map(|(k, f)| (Some(k), f)).collect())
+                    }
+                    _ => continue,
+                };
+                for (ki, f) in fns {
+                    if f.body.is_some() {
+                        nodes.push(FnNode {
+                            file: fi,
+                            self_ty: self_ty.cloned(),
+                            name: f.name.clone(),
+                            cfg_test: f.cfg_test,
+                            loc: (ii, ki),
+                        });
+                    }
+                }
+            }
+        }
         let mut typed: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
         let mut free: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-
-        let add = |nodes: &mut Vec<FnNode>,
-                   typed: &mut BTreeMap<(String, String), Vec<usize>>,
-                   free: &mut BTreeMap<String, Vec<usize>>,
-                   by_name: &mut BTreeMap<String, Vec<usize>>,
-                   node: FnNode| {
-            let id = nodes.len();
-            by_name.entry(node.name.clone()).or_default().push(id);
+        for (id, node) in nodes.iter().enumerate() {
             match &node.self_ty {
                 Some(t) => typed.entry((t.clone(), node.name.clone())).or_default().push(id),
                 None => free.entry(node.name.clone()).or_default().push(id),
             }
-            nodes.push(node);
-        };
-
-        for (fi, file) in files.iter().enumerate() {
-            for (ii, item) in file.items.iter().enumerate() {
-                match &item.kind {
-                    ItemKind::Fn(f) => add(
-                        &mut nodes,
-                        &mut typed,
-                        &mut free,
-                        &mut by_name,
-                        FnNode {
-                            file: fi,
-                            self_ty: None,
-                            name: f.name.clone(),
-                            line: f.line,
-                            cfg_test: f.cfg_test,
-                            loc: (ii, None),
-                        },
-                    ),
-                    ItemKind::Impl(ib) => {
-                        for (ki, f) in ib.fns.iter().enumerate() {
-                            add(
-                                &mut nodes,
-                                &mut typed,
-                                &mut free,
-                                &mut by_name,
-                                FnNode {
-                                    file: fi,
-                                    self_ty: Some(ib.self_ty.clone()),
-                                    name: f.name.clone(),
-                                    line: f.line,
-                                    cfg_test: f.cfg_test || ib.fns[ki].cfg_test,
-                                    loc: (ii, Some(ki)),
-                                },
-                            );
-                        }
-                    }
-                    ItemKind::Trait { name, fns } => {
-                        for (ki, f) in fns.iter().enumerate() {
-                            if f.body.is_none() {
-                                continue;
-                            }
-                            add(
-                                &mut nodes,
-                                &mut typed,
-                                &mut free,
-                                &mut by_name,
-                                FnNode {
-                                    file: fi,
-                                    self_ty: Some(name.clone()),
-                                    name: f.name.clone(),
-                                    line: f.line,
-                                    cfg_test: f.cfg_test,
-                                    loc: (ii, Some(ki)),
-                                },
-                            );
-                        }
-                    }
-                    _ => {}
-                }
-            }
         }
 
-        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
         let mut call_targets: Vec<BTreeMap<usize, Vec<usize>>> = vec![BTreeMap::new(); nodes.len()];
-        for id in 0..nodes.len() {
-            let node = &nodes[id];
-            let file = files[node.file];
-            let Some(f) = fn_def(file, node.loc) else { continue };
+        for (id, node) in nodes.iter().enumerate() {
+            let Some(f) = fn_def(files[node.file], node.loc) else { continue };
             let Some(body) = &f.body else { continue };
             let scope = FnScope { self_ty: node.self_ty.as_deref(), f };
-            let mut out: Vec<usize> = Vec::new();
-            let mut sites = BTreeMap::new();
+            let sites = &mut call_targets[id];
 
             for call in &body.path_calls {
                 let Some(fname) = call.segments.last() else { continue };
-                let mut tgts: Vec<usize> = Vec::new();
-                if call.segments.len() >= 2 {
-                    let qual =
-                        resolver.resolve_base(node.file, &call.segments[call.segments.len() - 2]);
-                    if let Some(ids) = typed.get(&(qual.clone(), fname.clone())) {
-                        tgts.extend(ids);
-                    }
-                }
-                if tgts.is_empty() {
-                    // Bare or module-qualified free fn.
-                    if let Some(ids) = free.get(fname) {
-                        tgts.extend(ids);
-                    }
-                }
-                if !tgts.is_empty() {
-                    out.extend(&tgts);
-                    sites.insert(call.pos, tgts);
+                let n = call.segments.len();
+                let qualified = if n >= 2 {
+                    let qual = resolver.resolve_base(node.file, &call.segments[n - 2]);
+                    typed.get(&(qual, fname.clone()))
+                } else {
+                    None
+                };
+                // Otherwise a bare or module-qualified free fn.
+                if let Some(ids) = qualified.or_else(|| free.get(fname)) {
+                    sites.insert(call.pos, ids.clone());
                 }
             }
 
             for call in &body.method_calls {
-                // Typed resolution: receiver chain with no trailing
-                // methods resolves to a concrete type.
-                let mut resolved = false;
-                let mut tgts: Vec<usize> = Vec::new();
-                if call.receiver.methods.is_empty()
-                    || call.receiver.methods.iter().all(|m| m.starts_with('.'))
-                {
-                    let base_ty = match &call.receiver.base {
-                        ChainBase::SelfField(fields) if !fields.is_empty() => {
-                            // Extend the field path with `.field`
-                            // projections recorded as methods.
-                            let mut path = fields.clone();
-                            path.extend(
-                                call.receiver
-                                    .methods
-                                    .iter()
-                                    .map(|m| m.trim_start_matches('.').to_string()),
-                            );
-                            resolver.base_ty(
-                                node.file,
-                                &scope,
-                                &ChainBase::SelfField(path),
-                                call.line,
-                            )
-                        }
-                        base => resolver.base_ty(node.file, &scope, base, call.line),
-                    };
-                    if base_ty.base != "?" {
-                        if let Some(ids) = typed.get(&(base_ty.base.clone(), call.name.clone())) {
-                            tgts.extend(ids);
-                            resolved = true;
-                        }
-                        // A trait-typed receiver (e.g. generic `M:
-                        // MemorySystem`) won't match an impl self_ty;
-                        // fall through to the name fallback below.
-                    }
+                // Only a receiver chain without trailing method calls
+                // resolves to a concrete type.
+                if !call.receiver.methods.iter().all(|m| m.starts_with('.')) {
+                    continue;
                 }
-                if !resolved && !FALLBACK_DENY.contains(&call.name.as_str()) {
-                    if let Some(ids) = by_name.get(&call.name) {
-                        if ids.len() <= FALLBACK_CAP {
-                            tgts.extend(ids);
-                        }
+                let base = match &call.receiver.base {
+                    // Extend the field path with `.field` projections
+                    // recorded as methods.
+                    ChainBase::SelfField(fields) if !fields.is_empty() => {
+                        let mut path = fields.clone();
+                        path.extend(
+                            call.receiver
+                                .methods
+                                .iter()
+                                .map(|m| m.trim_start_matches('.').to_string()),
+                        );
+                        ChainBase::SelfField(path)
                     }
-                }
-                if !tgts.is_empty() {
-                    out.extend(&tgts);
-                    sites.insert(call.pos, tgts);
+                    base => base.clone(),
+                };
+                let base_ty = resolver.base_ty(node.file, &scope, &base, call.line);
+                if let Some(ids) = typed.get(&(base_ty.base, call.name.clone())) {
+                    sites.insert(call.pos, ids.clone());
                 }
             }
-
-            out.sort_unstable();
-            out.dedup();
-            edges[id] = out;
-            call_targets[id] = sites;
         }
 
-        CallGraph { nodes, edges, call_targets }
+        CallGraph { nodes, call_targets }
     }
 
     /// Callees resolved for the call site at token position `pos` inside
     /// node `id`'s body (empty when nothing resolved there).
     pub fn targets_at(&self, id: usize, pos: usize) -> &[usize] {
         self.call_targets[id].get(&pos).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Direct callees of a node.
-    pub fn callees(&self, id: usize) -> &[usize] {
-        &self.edges[id]
-    }
-
-    /// Node ids of all nodes in `file` (for per-file triage).
-    pub fn nodes_in_file(&self, file: usize) -> impl Iterator<Item = usize> + '_ {
-        self.nodes.iter().enumerate().filter(move |(_, n)| n.file == file).map(|(id, _)| id)
-    }
-
-    /// Node ids whose `(self_ty, name)` matches a root spec. `name`
-    /// matches exactly, unless it ends in `*` — then the part before
-    /// the star is a prefix (`run_matrix*` covers `run_matrix_with`).
-    pub fn roots(&self, specs: &[(&str, &str)]) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| {
-                !n.cfg_test
-                    && specs.iter().any(|(ty, name)| {
-                        n.self_ty.as_deref() == Some(*ty)
-                            && match name.strip_suffix('*') {
-                                Some(prefix) => n.name.starts_with(prefix),
-                                None => n.name == *name,
-                            }
-                    })
-            })
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// BFS from `roots`; returns `(reachable, parent)` where `parent[v]`
-    /// is the BFS predecessor (usize::MAX for roots/unreached), for
-    /// building "reachable via ..." messages.
-    pub fn reach(&self, roots: &[usize]) -> (Vec<bool>, Vec<usize>) {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut parent = vec![usize::MAX; self.nodes.len()];
-        let mut queue: std::collections::VecDeque<usize> = roots.iter().copied().collect();
-        for &r in roots {
-            seen[r] = true;
-        }
-        while let Some(v) = queue.pop_front() {
-            for &w in &self.edges[v] {
-                if !seen[w] && !self.nodes[w].cfg_test {
-                    seen[w] = true;
-                    parent[w] = v;
-                    queue.push_back(w);
-                }
-            }
-        }
-        (seen, parent)
-    }
-
-    /// Root-to-node label path for a reached node.
-    pub fn path_to(&self, parent: &[usize], mut v: usize) -> Vec<String> {
-        let mut labels = vec![self.nodes[v].label()];
-        let mut hops = 0;
-        while parent[v] != usize::MAX && hops < 32 {
-            v = parent[v];
-            labels.push(self.nodes[v].label());
-            hops += 1;
-        }
-        labels.reverse();
-        labels
     }
 }
 
@@ -372,61 +170,60 @@ mod tests {
         (files, cg)
     }
 
-    fn id_of(cg: &CallGraph, label: &str) -> usize {
-        cg.nodes.iter().position(|n| n.label() == label).unwrap_or_else(|| {
-            panic!("no node {label}: {:?}", cg.nodes.iter().map(|n| n.label()).collect::<Vec<_>>())
-        })
+    /// Labels of the callees resolved at the calls to `name` in `caller`.
+    fn targets(files: &[File], cg: &CallGraph, caller: &str, name: &str) -> Vec<String> {
+        let id = cg.nodes.iter().position(|n| n.label() == caller).expect("caller node");
+        let node = &cg.nodes[id];
+        let body = fn_def(&files[node.file], node.loc).and_then(|f| f.body.as_ref()).unwrap();
+        let methods = body.method_calls.iter().filter(|m| m.name == name).map(|m| m.pos);
+        let paths = body.path_calls.iter().filter(|c| c.segments.last().unwrap() == name);
+        let mut out: Vec<String> = methods
+            .chain(paths.map(|c| c.pos))
+            .flat_map(|pos| cg.targets_at(id, pos))
+            .map(|&t| cg.nodes[t].label())
+            .collect();
+        out.sort();
+        out.dedup();
+        out
     }
 
     #[test]
-    fn typed_method_edges_resolve_through_fields() {
-        let (_, cg) = graph(&["struct Mem { inner: u64 }\n\
+    fn typed_method_calls_resolve_through_fields() {
+        let (files, cg) = graph(&["struct Mem { inner: u64 }\n\
              impl Mem { fn access(&mut self, a: u64) -> u64 { a } }\n\
              struct Engine { mem: Mem }\n\
              impl Engine { fn replay(&mut self) { self.mem.access(1); } }\n"]);
-        let roots = cg.roots(&[("Engine", "replay")]);
-        assert_eq!(roots.len(), 1);
-        let (seen, parent) = cg.reach(&roots);
-        let access = id_of(&cg, "Mem::access");
-        assert!(seen[access]);
-        assert_eq!(cg.path_to(&parent, access), ["Engine::replay", "Mem::access"]);
+        assert_eq!(targets(&files, &cg, "Engine::replay", "access"), ["Mem::access"]);
     }
 
     #[test]
     fn free_and_path_calls_link() {
-        let (_, cg) = graph(&["fn helper(x: u64) -> u64 { x }\n\
-             mod util { }\n\
+        let (files, cg) = graph(&["fn helper(x: u64) -> u64 { x }\n\
              struct Runner;\n\
              impl Runner {\n\
                fn run_matrix(&self) { helper(1); crate::stats::geomean(); }\n\
                fn run_matrix_points(&self) { self.run_matrix(); }\n\
              }\n\
              fn geomean() {}\n"]);
-        let exact = cg.roots(&[("Runner", "run_matrix")]);
-        assert_eq!(exact.len(), 1, "bare name is an exact match");
-        let roots = cg.roots(&[("Runner", "run_matrix*")]);
-        assert_eq!(roots.len(), 2, "trailing * makes it a prefix covering both fns");
-        let (seen, _) = cg.reach(&roots);
-        assert!(seen[id_of(&cg, "helper")]);
-        assert!(seen[id_of(&cg, "geomean")]);
+        assert_eq!(targets(&files, &cg, "Runner::run_matrix", "helper"), ["helper"]);
+        assert_eq!(targets(&files, &cg, "Runner::run_matrix", "geomean"), ["geomean"]);
+        assert_eq!(
+            targets(&files, &cg, "Runner::run_matrix_points", "run_matrix"),
+            ["Runner::run_matrix"]
+        );
     }
 
     #[test]
-    fn fallback_skips_denylisted_and_ambiguous_names() {
-        let (_, cg) = graph(&["struct A; impl A { fn get(&self) {} fn probe(&self) {} }\n\
-             struct E; impl E { fn run(&self, x: SomeUnknown) { x.get(); x.probe(); } }\n"]);
-        let (seen, _) = cg.reach(&cg.roots(&[("E", "run")]));
-        assert!(!seen[id_of(&cg, "A::get")], "`get` is denylisted for fallback");
-        assert!(seen[id_of(&cg, "A::probe")], "unique workspace name links by fallback");
-    }
-
-    #[test]
-    fn test_fns_do_not_propagate_reachability() {
-        let (_, cg) = graph(&["struct E; impl E { fn run(&self) { t_only(); } }\n\
-             #[cfg(test)]\nfn t_only() { dangerous(); }\n\
-             fn dangerous() {}\n"]);
-        let (seen, _) = cg.reach(&cg.roots(&[("E", "run")]));
-        assert!(!seen[id_of(&cg, "t_only")]);
-        assert!(!seen[id_of(&cg, "dangerous")]);
+    fn unproven_receivers_link_nothing() {
+        let (files, cg) = graph(&[
+            "struct A; impl A { fn probe(&self) {} }\n\
+             struct E; impl E { fn run(&self, x: SomeUnknown, a: A) { x.probe(); a.probe(); } }\n",
+        ]);
+        let id = cg.nodes.iter().position(|n| n.label() == "E::run").unwrap();
+        let node = &cg.nodes[id];
+        let body = fn_def(&files[node.file], node.loc).and_then(|f| f.body.as_ref()).unwrap();
+        let linked: Vec<usize> =
+            body.method_calls.iter().map(|m| cg.targets_at(id, m.pos).len()).collect();
+        assert_eq!(linked, [0, 1], "only the typed receiver `a: A` resolves");
     }
 }

@@ -1,25 +1,29 @@
 #![forbid(unsafe_code)]
 //! `simlint` — a self-contained static-analysis pass for this workspace's
-//! determinism and simulator-correctness invariants.
+//! determinism invariants.
 //!
 //! The paper's evaluation depends on bit-identical, replayable simulations
-//! (parallel `run_matrix` is pinned byte-for-byte to sequential `run_one`,
-//! golden end-state fixtures pin every system config), and off-the-shelf
-//! tooling that could guard that property (dylint, Miri) needs registry
-//! access this environment doesn't have. So this crate implements the
-//! repo-specific rules directly, in two layers:
+//! (parallel sweeps are pinned byte-for-byte to sequential runs, golden
+//! end-state fixtures pin every system config). Generic invariants —
+//! no `unwrap`, no prints in simulator crates, no `unsafe`, no truncating
+//! casts in `simcore` — are compiler and clippy lints (`[workspace.lints]`
+//! in the root `Cargo.toml`). What no off-the-shelf lint can see is where
+//! a nondeterministic value may reach a result, so this crate checks that
+//! directly, in three layers:
 //!
-//! 1. **Token rules** (D1–D6): a real lexer strips comments/strings, then
-//!    line-local patterns run over the stream.
-//! 2. **Semantic rules** (D7–D10): a hand-written recursive-descent
+//! 1. **Token rules** (D1, D2): a real lexer strips comments/strings, then
+//!    line-local patterns flag `HashMap`/`HashSet` and host-clock reads.
+//! 2. **Semantic rules** (D7, D8): a hand-written recursive-descent
 //!    [`parser`] builds a lightweight AST per file, [`resolve`] assembles
 //!    a workspace symbol table (use/type aliases, struct field types),
-//!    [`callgraph`] links fn definitions, and the rules check
-//!    alias-resistant unordered iteration, float reduction order,
-//!    hot-path panic reachability, and telemetry purity.
+//!    and the rules check alias-resistant unordered iteration and float
+//!    reduction order.
+//! 3. **Dataflow rules** (D11, D13): [`callgraph`] resolves call sites to
+//!    fn definitions and [`dataflow`] propagates taint from
+//!    nondeterministic sources into result records.
 //!
 //! See [`rules`] for the rule table and waiver syntax, and README.md /
-//! DESIGN.md §9 for the architecture and how to add a rule.
+//! DESIGN.md §6 for the architecture and how to add a rule.
 //!
 //! Drive it as `cargo run -p simlint` (non-zero exit on findings) or via
 //! [`Workspace`] from tests.
@@ -59,7 +63,7 @@ pub struct Workspace {
 
 impl Workspace {
     /// Build from in-memory `(rel_path, source)` pairs (tests, and the
-    /// single-file [`rules::lint_source`] back-compat entry point).
+    /// single-file [`rules::lint_source`] entry point).
     pub fn from_sources<S: AsRef<str>>(sources: &[(S, S)]) -> Workspace {
         let files = sources
             .iter()
@@ -147,10 +151,9 @@ impl Workspace {
             })
             .collect();
         findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-        // Collapse same-(rule, file, line) duplicates (e.g. the call
-        // graph's name fallback resolving one call to several targets
-        // reports the same site once per target) — first message wins,
-        // which after the sort is deterministic.
+        // Collapse same-(rule, file, line) duplicates (e.g. one call site
+        // whose callee reaches two sinks) — first message wins, which
+        // after the sort is deterministic.
         findings.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.rule == b.rule);
         findings
     }
@@ -187,116 +190,6 @@ impl Workspace {
         stale.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
         stale
     }
-}
-
-/// Render findings as a JSON array (hand-rolled: simlint stays
-/// dependency-free, and the schema is four flat fields).
-pub fn findings_to_json(findings: &[Finding]) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-    if findings.is_empty() {
-        return "[]\n".to_string();
-    }
-    let mut out = String::from("[\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}{}\n",
-            esc(&f.file),
-            f.line,
-            esc(f.rule),
-            esc(&f.message),
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    out.push(']');
-    out.push('\n');
-    out
-}
-
-/// Render findings as a SARIF 2.1.0 log (hand-rolled like the JSON
-/// renderer). One run, one driver (`simlint`); every waivable rule plus
-/// the three meta rules appears in the rule table so code-scanning UIs
-/// can show descriptions even for rules with no findings.
-pub fn findings_to_sarif(findings: &[Finding]) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-    let meta_rules: [(&str, &str); 3] = [
-        ("parse-error", "simlint's own parser must read every owned file (not waivable)"),
-        ("waiver-syntax", "a malformed waiver is itself a violation (not waivable)"),
-        ("stale-waiver", "waiver with no live finding (--audit-waivers)"),
-    ];
-    let mut rules_json: Vec<String> = RULES
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}}}}",
-                esc(r),
-                esc(rules::describe(r))
-            )
-        })
-        .collect();
-    for (id, desc) in meta_rules {
-        rules_json.push(format!(
-            "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}}}}",
-            esc(id),
-            esc(desc)
-        ));
-    }
-    let results: Vec<String> = findings
-        .iter()
-        .map(|f| {
-            format!(
-                "{{\"ruleId\":\"{}\",\"level\":\"error\",\"message\":{{\"text\":\"{}\"}},\
-                 \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
-                 \"region\":{{\"startLine\":{}}}}}}}]}}",
-                esc(f.rule),
-                esc(&f.message),
-                esc(&f.file),
-                f.line.max(1)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"$schema\":\"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\
-         \"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\"name\":\"simlint\",\
-         \"rules\":[{}]}}}},\
-         \"results\":[{}]}}]}}\n",
-        rules_json.join(","),
-        results.join(",")
-    )
-}
-
-/// Lint one file on disk. `root` anchors the workspace-relative path used
-/// for rule scoping and reporting. Note: single-file linting cannot see
-/// cross-file symbols; prefer [`Workspace::load`].
-pub fn lint_file(root: &Path, path: &Path) -> std::io::Result<Vec<Finding>> {
-    let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
-    let src = std::fs::read_to_string(path)?;
-    Ok(rules::lint_source(&rel, &src))
 }
 
 /// Collect every `.rs` file the linter owns: `crates/*` (src and tests),

@@ -7,45 +7,22 @@
 //! anything is found.
 //!
 //! Flags:
-//! - `--json`             emit findings as a JSON array instead of text
-//! - `--format FMT`       output format: `text`, `json`, or `sarif`
-//! - `--out PATH`         also write the findings (same format) to PATH
-//! - `--changed-only[=REF]` report only findings in files changed vs a
-//!   git ref (default `origin/main`). The *analysis* still parses the
-//!   whole workspace — the interprocedural rules need every summary —
-//!   only the report narrows, so this saves reading time, not lint time.
-//! - `--time-budget SECS` fail if the full run exceeds the wall budget
 //! - `--audit-waivers`    report stale waivers instead of findings
 //! - `--list-rules`       print the rule table and exit
 //! - `--help`             usage
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
 
 struct Cli {
     root: Option<PathBuf>,
-    format: Format,
-    out: Option<PathBuf>,
     audit_waivers: bool,
     list_rules: bool,
-    /// `Some(ref)` when `--changed-only` was given.
-    changed_only: Option<String>,
-    time_budget: Option<f64>,
 }
 
 fn usage() -> String {
     format!(
-        "usage: simlint [ROOT] [--json] [--format text|json|sarif] [--out PATH]\n\
-         \x20              [--changed-only[=REF]] [--time-budget SECS]\n\
-         \x20              [--audit-waivers] [--list-rules]\n\n\
+        "usage: simlint [ROOT] [--audit-waivers] [--list-rules]\n\n\
          rules: {}\n\
          waiver: // simlint::allow(<rule>): <reason>  (covers its line and the next)",
         simlint::RULES.join(", ")
@@ -53,49 +30,12 @@ fn usage() -> String {
 }
 
 fn parse_cli() -> Result<Cli, String> {
-    let mut cli = Cli {
-        root: None,
-        format: Format::Text,
-        out: None,
-        audit_waivers: false,
-        list_rules: false,
-        changed_only: None,
-        time_budget: None,
-    };
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(arg) = args.next() {
+    let mut cli = Cli { root: None, audit_waivers: false, list_rules: false };
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--help" | "-h" => return Err(usage()),
-            "--json" => cli.format = Format::Json,
-            "--format" => {
-                let fmt = args.next().ok_or("--format needs text|json|sarif")?;
-                cli.format = match fmt.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    other => return Err(format!("unknown format {other} (text|json|sarif)")),
-                };
-            }
-            "--out" => {
-                let path = args.next().ok_or("--out needs a PATH argument")?;
-                cli.out = Some(PathBuf::from(path));
-            }
-            "--changed-only" => cli.changed_only = Some("origin/main".to_string()),
-            "--time-budget" => {
-                let secs = args.next().ok_or("--time-budget needs SECS")?;
-                let secs: f64 =
-                    secs.parse().map_err(|_| format!("--time-budget: bad number {secs}"))?;
-                cli.time_budget = Some(secs);
-            }
             "--audit-waivers" => cli.audit_waivers = true,
             "--list-rules" => cli.list_rules = true,
-            flag if flag.starts_with("--changed-only=") => {
-                let gitref = flag["--changed-only=".len()..].to_string();
-                if gitref.is_empty() {
-                    return Err("--changed-only= needs a git ref".to_string());
-                }
-                cli.changed_only = Some(gitref);
-            }
             flag if flag.starts_with('-') => {
                 return Err(format!("unknown flag {flag}\n\n{}", usage()))
             }
@@ -108,7 +48,7 @@ fn parse_cli() -> Result<Cli, String> {
 
 /// The `--list-rules` table, exact output asserted by an integration
 /// test so docs and CLI cannot drift apart.
-pub fn rule_listing() -> String {
+fn rule_listing() -> String {
     let mut out = String::new();
     for rule in simlint::RULES {
         out.push_str(&format!("{rule:<22} {}\n", simlint::rules::describe(rule)));
@@ -116,35 +56,7 @@ pub fn rule_listing() -> String {
     out
 }
 
-/// Workspace-relative paths changed vs `gitref` (diff + untracked), for
-/// `--changed-only` report filtering.
-fn changed_files(root: &std::path::Path, gitref: &str) -> Result<Vec<String>, String> {
-    let run = |args: &[&str]| -> Result<String, String> {
-        let out = std::process::Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(args)
-            .output()
-            .map_err(|e| format!("running git: {e}"))?;
-        if !out.status.success() {
-            return Err(format!(
-                "git {} failed: {}",
-                args.join(" "),
-                String::from_utf8_lossy(&out.stderr).trim()
-            ));
-        }
-        Ok(String::from_utf8_lossy(&out.stdout).into_owned())
-    };
-    let mut files: Vec<String> = Vec::new();
-    files.extend(run(&["diff", "--name-only", gitref])?.lines().map(str::to_string));
-    files.extend(run(&["ls-files", "--others", "--exclude-standard"])?.lines().map(str::to_string));
-    files.sort();
-    files.dedup();
-    Ok(files)
-}
-
 fn main() -> ExitCode {
-    let started = Instant::now();
     let cli = match parse_cli() {
         Ok(cli) => cli,
         Err(msg) => {
@@ -185,53 +97,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let files = ws.files.len();
-    let (mut findings, what) = if cli.audit_waivers {
+    let (findings, what) = if cli.audit_waivers {
         (ws.audit_waivers(), "stale waiver(s)")
     } else {
         (ws.lint(), "violation(s)")
     };
-
-    if let Some(gitref) = &cli.changed_only {
-        match changed_files(&root, gitref) {
-            Ok(changed) => {
-                findings.retain(|f| changed.iter().any(|c| c == &f.file));
-            }
-            Err(e) => {
-                eprintln!("simlint: --changed-only: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    for f in &findings {
+        println!("{f}");
     }
-
-    let rendered = match cli.format {
-        Format::Json => simlint::findings_to_json(&findings),
-        Format::Sarif => simlint::findings_to_sarif(&findings),
-        Format::Text => {
-            let mut out = String::new();
-            for f in &findings {
-                out.push_str(&format!("{f}\n"));
-            }
-            out
-        }
-    };
-    print!("{rendered}");
-    if let Some(path) = &cli.out {
-        if let Err(e) = std::fs::write(path, &rendered) {
-            eprintln!("simlint: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-
-    eprintln!("simlint: {files} files checked, {} {what}", findings.len());
-    if let Some(budget) = cli.time_budget {
-        let spent = started.elapsed().as_secs_f64();
-        if spent > budget {
-            eprintln!("simlint: wall time {spent:.1}s exceeded the {budget:.1}s budget");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("simlint: wall time {spent:.1}s within the {budget:.1}s budget");
-    }
+    eprintln!("simlint: {} files checked, {} {what}", ws.files.len(), findings.len());
     if findings.is_empty() {
         ExitCode::SUCCESS
     } else {

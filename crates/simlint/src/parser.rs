@@ -4,8 +4,8 @@
 //! Design: item structure (fns, impls, structs, uses, modules) is parsed
 //! for real; *expression* structure inside fn bodies is not — a single
 //! forward scan extracts the fact lists the semantic rules need
-//! (for-loop sources, call sites with receiver chains, index/division
-//! sites, accumulations). The parser never fails a file: unparsable
+//! (for-loop sources, call sites with receiver chains, accumulations,
+//! def/use events). The parser never fails a file: unparsable
 //! regions are skipped with a recorded [`ParseError`] and parsing
 //! resynchronizes at the next item boundary. The workspace smoke test
 //! pins that the real tree produces zero errors.
@@ -225,7 +225,6 @@ impl<'a> Parser<'a> {
             if self.pos >= end {
                 break;
             }
-            let line = self.line(self.pos);
             let cfg_test = in_test || attr_test;
             match self.text(self.pos) {
                 "use" => {
@@ -234,7 +233,7 @@ impl<'a> Parser<'a> {
                     let stop = self.collect_use_tree(&mut Vec::new(), &mut leaves);
                     self.pos = stop;
                     for (path, alias) in leaves {
-                        items.push(Item { line, cfg_test, kind: ItemKind::Use { path, alias } });
+                        items.push(Item { cfg_test, kind: ItemKind::Use { path, alias } });
                     }
                 }
                 "type" => {
@@ -250,7 +249,6 @@ impl<'a> Parser<'a> {
                         let target = self.parse_type(start, semi);
                         if let Some(name) = name {
                             items.push(Item {
-                                line,
                                 cfg_test,
                                 kind: ItemKind::TypeAlias { name, target },
                             });
@@ -282,7 +280,6 @@ impl<'a> Parser<'a> {
                                 self.pos = close + 1;
                                 if let Some(name) = name {
                                     items.push(Item {
-                                        line,
                                         cfg_test,
                                         kind: ItemKind::Struct { name, fields },
                                     });
@@ -305,17 +302,17 @@ impl<'a> Parser<'a> {
                     }
                     self.pos = self.close_of(self.pos) + 1;
                     if let Some(name) = name {
-                        items.push(Item { line, cfg_test, kind: ItemKind::Enum { name } });
+                        items.push(Item { cfg_test, kind: ItemKind::Enum { name } });
                     }
                 }
                 "fn" => {
                     if let Some(f) = self.parse_fn(cfg_test) {
-                        items.push(Item { line, cfg_test, kind: ItemKind::Fn(Box::new(f)) });
+                        items.push(Item { cfg_test, kind: ItemKind::Fn(Box::new(f)) });
                     }
                 }
                 "impl" => {
                     if let Some(ib) = self.parse_impl(cfg_test) {
-                        items.push(Item { line, cfg_test, kind: ItemKind::Impl(ib) });
+                        items.push(Item { cfg_test, kind: ItemKind::Impl(ib) });
                     }
                 }
                 "trait" => {
@@ -335,7 +332,7 @@ impl<'a> Parser<'a> {
                     let fns = self.parse_trait_fns(close, cfg_test);
                     self.pos = close + 1;
                     if let Some(name) = name {
-                        items.push(Item { line, cfg_test, kind: ItemKind::Trait { name, fns } });
+                        items.push(Item { cfg_test, kind: ItemKind::Trait { name, fns } });
                     }
                 }
                 "mod" => {
@@ -753,14 +750,13 @@ impl<'a> Parser<'a> {
             return None;
         }
         let pclose = self.close_of(self.pos);
-        let (receiver, params) = self.parse_params(self.pos + 1, pclose);
+        let params = self.parse_params(self.pos + 1, pclose);
         self.pos = pclose + 1;
 
         // Return type, where clause.
-        let mut ret = None;
-        if self.texts_at(self.pos, &["-", ">"]) {
-            let start = self.pos + 2;
-            let mut j = start;
+        let has_ret = self.texts_at(self.pos, &["-", ">"]);
+        if has_ret {
+            let mut j = self.pos + 2;
             while j < self.toks.len() {
                 match self.text(j) {
                     "{" | ";" => break,
@@ -776,7 +772,6 @@ impl<'a> Parser<'a> {
                     _ => j += 1,
                 }
             }
-            ret = Some(self.parse_type(start, j));
             self.pos = j;
         }
         if self.text(self.pos) == "where" {
@@ -794,7 +789,7 @@ impl<'a> Parser<'a> {
         let body = match self.text(self.pos) {
             "{" => {
                 let close = self.close_of(self.pos);
-                let b = self.scan_body(self.pos + 1, close, ret.is_some());
+                let b = self.scan_body(self.pos + 1, close, has_ret);
                 self.pos = close + 1;
                 Some(b)
             }
@@ -808,88 +803,48 @@ impl<'a> Parser<'a> {
                 None
             }
         };
-        Some(FnDef { name, line, cfg_test, receiver, params, ret, body })
+        Some(FnDef { name, line, cfg_test, params, body })
     }
 
-    fn parse_params(&self, start: usize, end: usize) -> (Option<Receiver>, Vec<(String, TypeRef)>) {
-        let mut receiver = None;
+    /// `name: Type` params; receivers (`self`, `&mut self`) have no
+    /// top-level `:` and drop out.
+    fn parse_params(&self, start: usize, end: usize) -> Vec<(String, TypeRef)> {
         let mut params = Vec::new();
         let mut i = start;
         let mut piece = start;
         let mut angle = 0i32;
-        let flush = |p: &Parser<'a>, from: usize, to: usize, first: bool| -> Option<Receiver> {
-            if from >= to {
-                return None;
-            }
-            // Receiver form? `self` / `mut self` / `&self` / `&'a mut self`
-            if first {
-                let mut k = from;
-                let mut saw_amp = false;
-                let mut saw_mut = false;
-                while k < to {
-                    match p.text(k) {
-                        "&" => {
-                            saw_amp = true;
-                            k += 1;
-                        }
-                        "mut" => {
-                            saw_mut = true;
-                            k += 1;
-                        }
-                        "self" => {
-                            return Some(if saw_amp && saw_mut {
-                                Receiver::Mut
-                            } else if saw_amp {
-                                Receiver::Ref
-                            } else {
-                                Receiver::Owned
-                            });
-                        }
-                        _ if p.toks.get(k).is_some_and(|t| t.kind == TokKind::Lifetime) => k += 1,
-                        _ => break,
-                    }
-                }
-            }
-            None
-        };
-        let mut first = true;
         while i <= end {
             let at_end = i == end;
             let split = at_end || (self.text(i) == "," && angle <= 0);
             if split {
-                if let Some(r) = flush(self, piece, i, first) {
-                    receiver = Some(r);
-                } else if piece < i {
-                    // `name: Type` (or a pattern param — type only).
-                    let mut colon = None;
-                    let mut k = piece;
-                    let mut a = 0i32;
-                    while k < i {
-                        match self.text(k) {
-                            "<" => a += 1,
-                            ">" if self.text(k.wrapping_sub(1)) != "-" => a -= 1,
-                            "(" | "[" | "{" => k = self.close_of(k),
-                            ":" if a <= 0 => {
-                                colon = Some(k);
-                                break;
-                            }
-                            _ => {}
+                // `name: Type` (or a pattern param — type only).
+                let mut colon = None;
+                let mut k = piece;
+                let mut a = 0i32;
+                while k < i {
+                    match self.text(k) {
+                        "<" => a += 1,
+                        ">" if self.text(k.wrapping_sub(1)) != "-" => a -= 1,
+                        "(" | "[" | "{" => k = self.close_of(k),
+                        ":" if a <= 0 => {
+                            colon = Some(k);
+                            break;
                         }
-                        k += 1;
+                        _ => {}
                     }
-                    if let Some(c) = colon {
-                        let name = if self.is_ident(c.wrapping_sub(1))
-                            && !is_keyword(self.text(c.wrapping_sub(1)))
-                            && (c == piece + 1 || (c == piece + 2 && self.text(piece) == "mut"))
-                        {
-                            self.toks[c - 1].text.clone()
-                        } else {
-                            String::new()
-                        };
-                        params.push((name, self.parse_type(c + 1, i)));
-                    }
+                    k += 1;
                 }
-                first = false;
+                if let Some(c) = colon {
+                    let name = if self.is_ident(c.wrapping_sub(1))
+                        && !is_keyword(self.text(c.wrapping_sub(1)))
+                        && (c == piece + 1 || (c == piece + 2 && self.text(piece) == "mut"))
+                    {
+                        self.toks[c - 1].text.clone()
+                    } else {
+                        String::new()
+                    };
+                    params.push((name, self.parse_type(c + 1, i)));
+                }
                 piece = i + 1;
                 if at_end {
                     break;
@@ -904,7 +859,7 @@ impl<'a> Parser<'a> {
             }
             i += 1;
         }
-        (receiver, params)
+        params
     }
 
     // -- impls -----------------------------------------------------------
@@ -947,12 +902,8 @@ impl<'a> Parser<'a> {
             self.err(line, "impl: expected body");
             return None;
         }
-        let (trait_name, self_ty) = match saw_for {
-            Some(f) => {
-                (Some(self.parse_type(first_start, f).base), self.parse_type(f + 1, head_end).base)
-            }
-            None => (None, self.parse_type(first_start, head_end).base),
-        };
+        // `impl Trait for Ty`: the implemented type follows `for`.
+        let self_ty = self.parse_type(saw_for.map_or(first_start, |f| f + 1), head_end).base;
         let close = self.close_of(self.pos);
         self.pos += 1;
         let mut fns = Vec::new();
@@ -976,7 +927,7 @@ impl<'a> Parser<'a> {
             }
         }
         self.pos = close + 1;
-        Some(ImplBlock { line, trait_name, self_ty, fns })
+        Some(ImplBlock { self_ty, fns })
     }
 
     // -- body fact scanning ----------------------------------------------
@@ -1015,65 +966,16 @@ impl<'a> Parser<'a> {
                         continue;
                     }
                 }
-                "[" => {
-                    // Indexing: `[` in expression position.
-                    let prev = self.text(i.wrapping_sub(1));
-                    let prev_is_expr = i > start
-                        && (matches!(prev, ")" | "]")
-                            || (self.is_ident(i - 1) && !is_keyword(prev)));
-                    if prev_is_expr {
-                        let close = self.close_of(i).min(end);
-                        b.index_sites.push(self.make_index_site(i, close));
-                    }
-                }
-                "/" | "%" => {
-                    let prev = self.text(i.wrapping_sub(1));
-                    let prev_is_expr = matches!(prev, ")" | "]")
-                        || self.toks.get(i - 1).is_some_and(|p| p.kind == TokKind::Num)
-                        || (self.is_ident(i.wrapping_sub(1)) && !is_keyword(prev));
-                    if prev_is_expr {
-                        let div_at = if self.text(i + 1) == "=" { i + 1 } else { i };
-                        b.div_sites.push(self.make_div_site(i, div_at + 1, end));
-                        // `%` is also a unit-sensitive op (modulo-set-indexing
-                        // shape); `/` is exempt — ratios mix units by design.
-                        if t.text == "%" && self.text(i + 1) != "=" {
-                            if let Some(site) = self.make_binop("%", i, i + 1, start, end) {
-                                b.binops.push(site);
-                            }
-                        }
-                    }
-                }
                 "+" | "*" if self.text(i + 1) == "=" => {
                     if let Some(site) = self.make_accum_site(start, i, end) {
                         b.accum_sites.push(site);
-                    }
-                }
-                "+" | "-" if self.text(i + 1) != "=" && self.text(i + 1) != ">" => {
-                    let prev = self.text(i.wrapping_sub(1));
-                    let prev_is_expr = i > start
-                        && (matches!(prev, ")" | "]")
-                            || self.toks.get(i - 1).is_some_and(|p| p.kind == TokKind::Num)
-                            || (self.is_ident(i - 1) && !is_keyword(prev)));
-                    if prev_is_expr {
-                        if let Some(site) = self.make_binop(&t.text.clone(), i, i + 1, start, end) {
-                            b.binops.push(site);
-                        }
-                    }
-                }
-                "=" if self.text(i + 1) == "=" => {
-                    // Equality: recorded once at the first `=`.
-                    let prev = self.text(i.wrapping_sub(1));
-                    if i > start && !matches!(prev, "=" | "<" | ">" | "!") {
-                        if let Some(site) = self.make_binop("==", i, i + 2, start, end) {
-                            b.binops.push(site);
-                        }
                     }
                 }
                 "=" => {
                     let prev = self.text(i.wrapping_sub(1));
                     if i > start
                         && !matches!(prev, "=" | "<" | ">" | "!" | ".")
-                        && self.text(i + 1) != ">"
+                        && !matches!(self.text(i + 1), ">" | "=")
                     {
                         // Assignment (plain or compound — both only ever
                         // *add* to the target for taint purposes).
@@ -1092,27 +994,6 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                "!" if self.text(i + 1) == "=" => {
-                    let prev = self.text(i.wrapping_sub(1));
-                    let prev_is_expr = i > start
-                        && (matches!(prev, ")" | "]")
-                            || self.toks.get(i - 1).is_some_and(|p| p.kind == TokKind::Num)
-                            || (self.is_ident(i - 1) && !is_keyword(prev)));
-                    if prev_is_expr {
-                        if let Some(site) = self.make_binop("!=", i, i + 2, start, end) {
-                            b.binops.push(site);
-                        }
-                    }
-                }
-                "!" if self.is_ident(i.wrapping_sub(1))
-                    && matches!(self.text(i + 1), "(" | "[" | "{")
-                    && i > start =>
-                {
-                    b.macro_calls.push(MacroCall {
-                        name: self.toks[i - 1].text.clone(),
-                        line: self.toks[i - 1].line,
-                    });
-                }
                 "(" if self.is_ident(i.wrapping_sub(1)) && i > start => {
                     let name_at = i - 1;
                     let name = self.toks[name_at].text.clone();
@@ -1121,7 +1002,7 @@ impl<'a> Parser<'a> {
                     } else if self.text(name_at.wrapping_sub(1)) == "." {
                         b.method_calls.push(self.make_method_call(name_at, None, i, start));
                     } else if self.text(name_at.wrapping_sub(1)) == "!" {
-                        // macro, already recorded
+                        // `!name(..)`: a negated call, not recorded
                     } else {
                         // Free/path call; collect `a::b::name` backwards.
                         let segments = self.path_back(name_at, start);
@@ -1147,33 +1028,6 @@ impl<'a> Parser<'a> {
                                 i + 1,
                                 start,
                             ));
-                        }
-                    }
-                }
-                "<" | ">" => {
-                    // Comparison site — generics, shifts, arrows, and
-                    // turbofish excluded; residual generic noise is
-                    // harmless because D12 only fires on classified
-                    // operands.
-                    let sym = t.text.as_str();
-                    let prev = self.text(i.wrapping_sub(1));
-                    let next = self.text(i + 1);
-                    let excluded = prev == sym
-                        || next == sym
-                        || (sym == ">" && prev == "-")
-                        || (sym == "<" && prev == ":");
-                    let prev_is_expr = i > start
-                        && (matches!(prev, ")" | "]")
-                            || self.toks.get(i - 1).is_some_and(|p| p.kind == TokKind::Num)
-                            || (self.is_ident(i - 1) && !is_keyword(prev)));
-                    if !excluded && prev_is_expr {
-                        let (op, rhs_start): (String, usize) = if next == "=" {
-                            (format!("{sym}="), i + 2)
-                        } else {
-                            (sym.to_string(), i + 1)
-                        };
-                        if let Some(site) = self.make_binop(&op, i, rhs_start, start, end) {
-                            b.binops.push(site);
                         }
                     }
                 }
@@ -1340,58 +1194,6 @@ impl<'a> Parser<'a> {
         Some(AssignTarget::Local(self.toks[root].text.clone()))
     }
 
-    /// Build a unit-op site when both operands are classifiable places
-    /// (a bare ident / `self.field` path, optionally with one trailing
-    /// `.field` projection) — everything else stays silent.
-    fn make_binop(
-        &self,
-        op: &str,
-        op_at: usize,
-        rhs_start: usize,
-        lo: usize,
-        end: usize,
-    ) -> Option<BinOpSite> {
-        fn classifiable(c: &Chain) -> bool {
-            let place = matches!(c.base, ChainBase::Ident(_) | ChainBase::SelfField(_));
-            place
-                && (c.methods.is_empty() || (c.methods.len() == 1 && c.methods[0].starts_with('.')))
-        }
-        let lhs = self.chain_backward(op_at.wrapping_sub(1), lo);
-        // Bound the RHS at the next top-level operator so `a + b + c`
-        // still yields clean operands per site.
-        let mut stop = rhs_start;
-        while stop < end {
-            match self.text(stop) {
-                "(" | "[" | "{" => stop = self.close_of(stop),
-                "+" | "-" | "*" | "/" | "%" | "<" | ">" | "=" | "!" | "&" | "|" | "^" | ";"
-                | "," | ")" | "]" | "}" => break,
-                _ => {}
-            }
-            stop += 1;
-        }
-        let rhs = self.chain_forward(rhs_start, stop.min(end));
-        if !(classifiable(&lhs) && classifiable(&rhs)) {
-            return None;
-        }
-        // Reject truncated operands: an arithmetic/bitwise neighbor on
-        // either side means this site is a fragment of a larger
-        // expression (`cycles > instr * cpi` must not report as
-        // `cycles > instr`). Comparison neighbors bind looser and leave
-        // the operand complete.
-        const ARITH: [&str; 8] = ["+", "-", "*", "/", "%", "&", "|", "^"];
-        let mut s = op_at.wrapping_sub(1) as isize;
-        while s >= lo as isize && (self.is_ident(s as usize) || self.text(s as usize) == ".") {
-            s -= 1;
-        }
-        if s >= lo as isize && ARITH.contains(&self.text(s as usize)) {
-            return None;
-        }
-        if stop < end && ARITH.contains(&self.text(stop)) {
-            return None;
-        }
-        Some(BinOpSite { line: self.line(op_at), op: op.to_string(), lhs, rhs })
-    }
-
     /// Distinguish `Name { field: .., .. }` construction from a block
     /// following an uppercase-ident-ending expression: require a
     /// depth-0 `field:` / `..` shape, or a shorthand-only body
@@ -1459,7 +1261,6 @@ impl<'a> Parser<'a> {
         }
         let mut init = None;
         let mut collect_ty = None;
-        let mut bounded_init = false;
         let mut float_init = false;
         let mut rhs = (k, k);
         let mut uses = Vec::new();
@@ -1481,7 +1282,6 @@ impl<'a> Parser<'a> {
             for idx in init_start..m.min(end) {
                 let tk = &self.toks[idx];
                 match tk.text.as_str() {
-                    "&" | "%" | "min" | "clamp" => bounded_init = true,
                     "f64" | "f32" => float_init = true,
                     "collect" if self.texts_at(idx + 1, &[":", ":", "<"]) => {
                         // Turbofish of collect.
@@ -1512,7 +1312,7 @@ impl<'a> Parser<'a> {
             }
         }
         Some((
-            Local { name, line, ty, init, collect_ty, bounded_init, float_init, rhs, uses },
+            Local { name, line, ty, init, collect_ty, float_init, rhs, uses },
             k, // resume inside the statement so nested facts still scan
         ))
     }
@@ -1551,52 +1351,6 @@ impl<'a> Parser<'a> {
         let body_close = self.close_of(k).min(end);
         let source = self.chain_forward(src_start, k);
         Some((ForLoop { line, source, body: (k + 1, body_close) }, src_start))
-    }
-
-    fn make_index_site(&self, open: usize, close: usize) -> IndexSite {
-        let base = self.chain_backward(open.wrapping_sub(1), 0);
-        let inner: Vec<&Tok> = self.toks[open + 1..close].iter().collect();
-        let bounded = inner.iter().any(|t| matches!(t.text.as_str(), "&" | "%" | "min" | "clamp"))
-            || (inner.len() == 1 && inner[0].kind == TokKind::Num);
-        let index_ident = if inner.len() == 1 && inner[0].kind == TokKind::Ident {
-            Some(inner[0].text.clone())
-        } else {
-            None
-        };
-        IndexSite { line: self.toks[open].line, base, bounded, index_ident }
-    }
-
-    fn make_div_site(&self, op_at: usize, rhs_start: usize, end: usize) -> DivSite {
-        let line = self.toks[op_at].line;
-        // Look a few tokens back and forward for float evidence.
-        let lo = op_at.saturating_sub(6);
-        let hi = (rhs_start + 6).min(end);
-        let float_hint = (lo..hi).any(|k| {
-            let t = &self.toks[k];
-            matches!(t.text.as_str(), "f64" | "f32")
-                || (t.kind == TokKind::Num && t.text.contains('.'))
-                || t.text.ends_with("f64")
-                || t.text.ends_with("f32")
-        });
-        // Divisor head.
-        let mut nonzero = false;
-        let mut divisor_ident = None;
-        let mut k = rhs_start;
-        if self.text(k) == "(" {
-            k += 1;
-        }
-        if let Some(t) = self.toks.get(k) {
-            if t.kind == TokKind::Num {
-                nonzero = !t.text.trim_start_matches('0').is_empty()
-                    && !t.text.chars().all(|c| c == '0' || c == '.' || c == '_');
-            } else if t.kind == TokKind::Ident && !is_keyword(&t.text) {
-                divisor_ident = Some(t.text.clone());
-            }
-        }
-        // `x / y.max(1)`-style guards.
-        let guard = (rhs_start..(rhs_start + 8).min(end))
-            .any(|k| matches!(self.text(k), "max" | "len" if self.text(k) == "max"));
-        DivSite { line, float_hint, nonzero_divisor: nonzero || guard, divisor_ident }
     }
 
     fn make_accum_site(&self, body_start: usize, op_at: usize, end: usize) -> Option<AccumSite> {
@@ -1638,55 +1392,17 @@ impl<'a> Parser<'a> {
         lo: usize,
     ) -> MethodCall {
         let close = self.close_of(open_paren);
-        let receiver = self.chain_backward(name_at.wrapping_sub(2), lo);
-        let mut mut_ref_arg = false;
-        let mut closure_self_write = false;
-        let mut k = open_paren + 1;
-        let mut in_closure = false;
-        while k < close {
-            match self.text(k) {
-                "&" if self.text(k + 1) == "mut" => mut_ref_arg = true,
-                "|" => {
-                    // `||` is a zero-param closure, not a toggle pair.
-                    if self.text(k + 1) == "|" {
-                        in_closure = true;
-                        k += 1;
-                    } else {
-                        in_closure = !in_closure;
-                    }
-                }
-                "self" if in_closure && self.text(k + 1) == "." && self.is_ident(k + 2) => {
-                    // `self.field <assign-op>` inside a closure arg.
-                    let mut m = k + 3;
-                    while self.text(m) == "." && self.is_ident(m + 1) {
-                        m += 2;
-                    }
-                    let a = self.text(m);
-                    let b = self.text(m + 1);
-                    let is_assign = (a == "=" && b != "=")
-                        || (matches!(a, "+" | "-" | "*" | "/" | "%" | "|" | "&" | "^") && b == "=");
-                    if is_assign {
-                        closure_self_write = true;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
         MethodCall {
             name: self.toks[name_at].text.clone(),
             line: self.toks[name_at].line,
             pos: name_at,
-            receiver,
+            receiver: self.chain_backward(name_at.wrapping_sub(2), lo),
             turbofish,
             args: (open_paren + 1, close),
-            mut_ref_arg,
-            closure_self_write,
             arg_uses: self.collect_uses(open_paren + 1, close),
             closure_writes: self.closure_captured_writes(open_paren + 1, close),
         }
     }
-
     /// Names written inside closure arguments (`x = ..`, `x op= ..`, or
     /// a mutating call `x.push(..)`) that are not bound inside the
     /// argument span — i.e. mutable captures of enclosing-scope state.
@@ -1946,7 +1662,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Walk a receiver chain *backwards* from `e` (the last token of the
-    /// receiver expression). Used for method calls and index sites.
+    /// receiver expression). Used for method calls.
     fn chain_backward(&self, e: usize, lo: usize) -> Chain {
         let line = self.line(e.min(self.toks.len().saturating_sub(1)));
         let mut methods_rev: Vec<String> = Vec::new();
@@ -2147,7 +1863,7 @@ mod tests {
     }
 
     #[test]
-    fn impl_blocks_and_receivers() {
+    fn impl_blocks_and_params() {
         let file = parse_src(
             "impl<M: Mem> Engine<M> {\n\
                pub fn step(&mut self, n: u64) -> u64 { n }\n\
@@ -2158,15 +1874,11 @@ mod tests {
         );
         let ItemKind::Impl(ib) = &file.items[0].kind else { panic!() };
         assert_eq!(ib.self_ty, "Engine");
-        assert_eq!(ib.trait_name, None);
         assert_eq!(ib.fns.len(), 3);
-        assert_eq!(ib.fns[0].receiver, Some(Receiver::Mut));
         assert_eq!(ib.fns[0].params, vec![("n".to_string(), TypeRef::named("u64"))]);
-        assert_eq!(ib.fns[1].receiver, Some(Receiver::Ref));
-        assert_eq!(ib.fns[2].receiver, Some(Receiver::Owned));
+        assert!(ib.fns[1].params.is_empty() && ib.fns[2].params.is_empty());
         let ItemKind::Impl(sink) = &file.items[1].kind else { panic!() };
-        assert_eq!(sink.trait_name.as_deref(), Some("TelemetrySink"));
-        assert_eq!(sink.self_ty, "Collector");
+        assert_eq!(sink.self_ty, "Collector", "a trait impl is keyed by the type after `for`");
     }
 
     #[test]
@@ -2194,51 +1906,38 @@ mod tests {
             "fn f() {\n\
                let mut m: HashMap<u64, u64> = HashMap::new();\n\
                let v = BTreeMap::new();\n\
-               let idx = addr & mask;\n\
                let g = 1.5f64;\n\
                let c = xs.iter().collect::<Vec<u64>>();\n\
              }",
         );
         let body = fns(&file)[0].body.as_ref().unwrap();
-        assert_eq!(body.locals.len(), 5);
+        assert_eq!(body.locals.len(), 4);
         assert_eq!(body.locals[0].ty.as_ref().unwrap().base, "HashMap");
         let init = body.locals[1].init.as_ref().unwrap();
         assert_eq!(init.base, ChainBase::Path(vec!["BTreeMap".into(), "new".into()]));
-        assert!(body.locals[2].bounded_init);
-        assert!(body.locals[3].float_init);
-        assert_eq!(body.locals[4].collect_ty.as_ref().unwrap().base, "Vec");
+        assert!(body.locals[2].float_init);
+        assert_eq!(body.locals[3].collect_ty.as_ref().unwrap().base, "Vec");
     }
 
     #[test]
-    fn calls_index_div_and_accum_sites() {
+    fn call_and_accum_sites() {
         let file = parse_src(
             "fn f(&mut self, i: usize) {\n\
                let x = self.tags[i];\n\
-               let y = self.meta[i & self.mask];\n\
                let q = total / count;\n\
-               let r = total as f64 / count as f64;\n\
-               self.sum += y as f64;\n\
+               self.sum += x as f64;\n\
                helper(x);\n\
                self.mem.access(q);\n\
                crate::util::hash(x);\n\
-               panic!(\"boom\");\n\
              }",
         );
         let body = fns(&file)[0].body.as_ref().unwrap();
-        assert_eq!(body.index_sites.len(), 2, "{:?}", body.index_sites);
-        assert!(!body.index_sites[0].bounded);
-        assert_eq!(body.index_sites[0].index_ident.as_deref(), Some("i"));
-        assert!(body.index_sites[1].bounded, "mask index is bounded");
-        assert_eq!(body.div_sites.len(), 2);
-        assert!(!body.div_sites[0].float_hint);
-        assert!(body.div_sites[1].float_hint);
         assert_eq!(body.accum_sites.len(), 1);
         assert!(body.accum_sites[0].rhs_float);
         assert!(body.path_calls.iter().any(|c| c.segments == ["helper"]));
         assert!(body.path_calls.iter().any(|c| c.segments == ["crate", "util", "hash"]));
         let access = body.method_calls.iter().find(|m| m.name == "access").unwrap();
         assert_eq!(access.receiver.base, ChainBase::SelfField(vec!["mem".into()]));
-        assert!(body.macro_calls.iter().any(|m| m.name == "panic"));
     }
 
     #[test]
@@ -2249,27 +1948,6 @@ mod tests {
         assert_eq!(sum.turbofish.as_ref().unwrap().base, "f64");
         assert_eq!(sum.receiver.base, ChainBase::Ident("xs".into()));
         assert_eq!(sum.receiver.methods, vec!["iter", "map"]);
-    }
-
-    #[test]
-    fn closure_self_writes_and_mut_args_are_flagged() {
-        let file = parse_src(
-            "fn f(&mut self) {\n\
-               self.tel.event(1, || { self.count += 1; Kind::Tick });\n\
-               self.tel.interval(&mut self.buf);\n\
-               self.tel.event(2, || Kind::Tick);\n\
-             }",
-        );
-        let body = fns(&file)[0].body.as_ref().unwrap();
-        let calls: Vec<&MethodCall> = body
-            .method_calls
-            .iter()
-            .filter(|m| m.name == "event" || m.name == "interval")
-            .collect();
-        assert_eq!(calls.len(), 3);
-        assert!(calls[0].closure_self_write);
-        assert!(calls[1].mut_ref_arg);
-        assert!(!calls[2].closure_self_write && !calls[2].mut_ref_arg);
     }
 
     #[test]
@@ -2316,6 +1994,7 @@ mod tests {
                let mut acc = 0u64;\n\
                acc = src;\n\
                acc += src;\n\
+               let same = acc == src;\n\
                self.stats.total = acc;\n\
                self.tags[3] = src;\n\
                out.field = helper(acc);\n\
@@ -2334,7 +2013,7 @@ mod tests {
                 &AssignTarget::Local("out".into()),
                 &AssignTarget::Local("guard".into()),
             ],
-            "deref writes key the local; let-bindings are Local facts"
+            "deref writes key the local; let-bindings are Local facts; `==` is no write"
         );
         assert!(body.assigns[0].uses.contains(&UseRef::Ident("src".into())));
         assert!(body.assigns[2].uses.contains(&UseRef::Ident("acc".into())));
@@ -2379,39 +2058,6 @@ mod tests {
         assert!(uses.contains(&UseRef::Ident("n".into())));
         assert!(uses.contains(&UseRef::Ident("kind".into())), "shorthand init is a read");
         assert!(!uses.contains(&UseRef::Ident("wall_seconds".into())), "field names excluded");
-    }
-
-    #[test]
-    fn binop_sites_keep_classifiable_operands() {
-        let file = parse_src(
-            "fn f(&self, cycles: u64, bytes: u64) {\n\
-               let a = cycles + bytes;\n\
-               let b = cycles < self.budget;\n\
-               let c = block % self.sets;\n\
-               let d = cycles / bytes;\n\
-               let e = xs.len() + bytes;\n\
-               let g: Vec<u64> = Vec::new();\n\
-             }",
-        );
-        let body = fns(&file)[0].body.as_ref().unwrap();
-        let ops: Vec<(&str, &ChainBase, &ChainBase)> =
-            body.binops.iter().map(|s| (s.op.as_str(), &s.lhs.base, &s.rhs.base)).collect();
-        assert!(ops.contains(&(
-            "+",
-            &ChainBase::Ident("cycles".into()),
-            &ChainBase::Ident("bytes".into())
-        )));
-        assert!(ops.contains(&(
-            "<",
-            &ChainBase::Ident("cycles".into()),
-            &ChainBase::SelfField(vec!["budget".into()])
-        )));
-        assert!(ops.iter().any(|(op, ..)| *op == "%"));
-        assert!(!ops.iter().any(|(op, ..)| *op == "/"), "division is unit-exempt");
-        assert!(
-            !ops.iter().any(|(_, l, _)| **l == ChainBase::Ident("xs".into())),
-            "method-call operands are unclassifiable"
-        );
     }
 
     #[test]

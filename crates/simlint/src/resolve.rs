@@ -10,7 +10,7 @@
 use crate::ast::{Chain, ChainBase, File, FnDef, ItemKind, TypeRef};
 use std::collections::BTreeMap;
 
-/// Coarse type classification, exactly as fine as D7–D10 need.
+/// Coarse type classification, exactly as fine as D7, D8 and D11 need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TyClass {
     /// Iteration order is nondeterministic: `HashMap`, `HashSet`,
@@ -20,7 +20,7 @@ pub enum TyClass {
     Ordered,
     /// `f32` / `f64`.
     Float,
-    /// `simtel::TelemetryHandle`.
+    /// `simtel::TelemetryHandle` (a D11 serialization sink).
     TelHandle,
     /// Everything unproven.
     Other,
@@ -40,65 +40,6 @@ pub struct SourceInfo {
     /// (`count`, `max`, ...). This is what D11 calls an
     /// iteration-order taint source.
     pub tainted_order: bool,
-}
-
-/// Coarse integer-unit classification for D12: what a counter counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnitClass {
-    Cycles,
-    Instructions,
-    Bytes,
-    Blocks,
-    Sets,
-}
-
-impl UnitClass {
-    pub fn label(self) -> &'static str {
-        match self {
-            UnitClass::Cycles => "cycles",
-            UnitClass::Instructions => "instructions",
-            UnitClass::Bytes => "bytes",
-            UnitClass::Blocks => "blocks",
-            UnitClass::Sets => "sets",
-        }
-    }
-}
-
-/// Newtype-name classification (`struct Cycles(u64)`, `type SetIdx =
-/// usize`, ...). Positive matches only — anything else is unclassified.
-pub fn unit_of_type_name(name: &str) -> Option<UnitClass> {
-    match name {
-        "Cycles" | "CycleCount" => Some(UnitClass::Cycles),
-        "Instructions" | "Instrs" | "InstrCount" => Some(UnitClass::Instructions),
-        "Bytes" | "ByteCount" => Some(UnitClass::Bytes),
-        "Blocks" | "BlockAddr" | "BlockId" => Some(UnitClass::Blocks),
-        "Sets" | "SetIdx" | "SetIndex" => Some(UnitClass::Sets),
-        _ => None,
-    }
-}
-
-/// Signature/field-name heuristics: snake-case counter names whose unit
-/// is unambiguous in this codebase's vocabulary. Kept deliberately
-/// narrow — a wrong class produces a false mismatch, so ambiguous names
-/// (`count`, `n`, `size`, `addr`) stay unclassified.
-pub fn unit_of_name(name: &str) -> Option<UnitClass> {
-    let eq = |cands: &[&str]| cands.contains(&name);
-    let tail = |sufs: &[&str]| sufs.iter().any(|s| name.ends_with(s));
-    if eq(&["cycles", "cycle", "latency"]) || tail(&["_cycles", "_cycle", "_latency"]) {
-        Some(UnitClass::Cycles)
-    } else if eq(&["instructions", "instrs", "instr", "retired"])
-        || tail(&["_instructions", "_instrs", "_instr"])
-    {
-        Some(UnitClass::Instructions)
-    } else if eq(&["bytes", "byte"]) || tail(&["_bytes"]) {
-        Some(UnitClass::Bytes)
-    } else if eq(&["blocks", "block", "block_addr"]) || tail(&["_blocks", "_block"]) {
-        Some(UnitClass::Blocks)
-    } else if eq(&["sets", "num_sets", "set_idx", "set_index", "set_count"]) || tail(&["_sets"]) {
-        Some(UnitClass::Sets)
-    } else {
-        None
-    }
 }
 
 /// Resolution context for one fn body.
@@ -496,58 +437,6 @@ impl Resolver {
             }
         }
         SourceInfo { class, parallel, tainted_order: unordered_seq }
-    }
-
-    /// Classify a D12 binop operand chain to an integer unit. Newtype
-    /// resolution (the declared/resolved type names the unit) wins over
-    /// the name heuristic; a single `.field` projection re-anchors the
-    /// classification on that field. `None` whenever either signal is
-    /// ambiguous — D12 fires on positive proof only.
-    pub fn unit_of_chain(
-        &self,
-        file: usize,
-        scope: &FnScope<'_>,
-        chain: &Chain,
-    ) -> Option<UnitClass> {
-        // The parser only records classifiable operands: Ident/SelfField
-        // bases with no methods or one `.field` projection.
-        let (base_name, base_ty) = match &chain.base {
-            ChainBase::Ident(name) => {
-                (name.as_str(), self.base_ty(file, scope, &chain.base, chain.line))
-            }
-            ChainBase::SelfField(fields) => {
-                let name = fields.last().map(String::as_str)?;
-                (name, self.base_ty(file, scope, &chain.base, chain.line))
-            }
-            _ => return None,
-        };
-        let mut name = base_name;
-        let mut ty = base_ty;
-        if let Some(m) = chain.methods.first() {
-            let field = m.strip_prefix('.')?;
-            // Projection: re-anchor on the field. Type wins when the
-            // base resolves to a known struct with that field.
-            ty = if ty.base != "?" {
-                self.field_ty(file, &ty.base, &[field.to_string()])
-            } else {
-                TypeRef::unknown()
-            };
-            name = field;
-        }
-        if ty.base != "?" {
-            if let Some(u) = unit_of_type_name(&ty.base) {
-                return Some(u);
-            }
-            // A resolved non-unit newtype (e.g. `Duration`) stays
-            // unclassified only when it is a *struct we know* — plain
-            // integer types fall through to the name heuristic.
-            if !matches!(ty.base.as_str(), "u8" | "u16" | "u32" | "u64" | "usize" | "i32" | "i64")
-                && self.structs.contains_key(&ty.base)
-            {
-                return None;
-            }
-        }
-        unit_of_name(name)
     }
 }
 

@@ -1,6 +1,11 @@
 //! CLI contract tests: flag parsing, exit codes, and the `--list-rules`
 //! table (asserted verbatim so the CLI, the rule registry, and the docs
 //! cannot drift apart).
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test when their setup cannot hold"
+)]
 
 use std::path::Path;
 use std::process::Command;
@@ -21,26 +26,20 @@ fn list_rules_prints_the_exact_rule_table() {
     let expected = "\
 unordered-map          no HashMap/HashSet tokens where iteration order can leak (token)
 wall-clock             no std::time/Instant/SystemTime in the cycle-accurate stack (token)
-narrowing-cast         no narrowing `as` casts on cycle/counter expressions (token)
-unwrap                 no .unwrap()/.expect() in library code outside tests (token)
-forbid-unsafe          crate roots must carry #![forbid(unsafe_code)] (token)
-no-println             no println!/eprintln! in simulator library crates (token)
 nondet-iteration       no iteration over unordered containers, through aliases (semantic)
 float-reduction-order  no order-sensitive float reduction over unordered/parallel sources (semantic)
-panic-path             no unwaived panic site reachable from hot entry points (semantic)
-telemetry-purity       telemetry sinks and call sites must not mutate state (semantic)
 determinism-taint      no nondeterministic value may flow into result records (dataflow)
-unit-mismatch          no arithmetic/comparison mixing counter unit classes (semantic)
 shared-mut-parallel    no shared mutable state written in parallel closures on the result path (dataflow)
 ";
     assert_eq!(stdout, expected);
 }
 
 #[test]
-fn clean_workspace_exits_zero_with_empty_json() {
-    let out = simlint().arg(workspace_root()).arg("--json").output().expect("run simlint");
+fn clean_workspace_exits_zero_with_no_findings() {
+    let out = simlint().arg(workspace_root()).output().expect("run simlint");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert_eq!(String::from_utf8_lossy(&out.stdout), "[]\n");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "");
+    assert!(String::from_utf8_lossy(&out.stderr).contains(" 0 violation(s)"));
 }
 
 #[test]
@@ -50,84 +49,15 @@ fn audit_waivers_flag_exits_zero_when_all_live() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("stale waiver"));
 }
 
+/// `[ROOT]`, `--audit-waivers`, `--list-rules` and `--help` are the whole
+/// surface: the retired report formats and filters are unknown flags.
 #[test]
-fn out_flag_writes_the_report_file() {
-    let dir = std::env::temp_dir().join("simlint-cli-test");
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let path = dir.join("report.json");
-    let out = simlint()
-        .arg(workspace_root())
-        .arg("--json")
-        .arg("--out")
-        .arg(&path)
-        .output()
-        .expect("run simlint");
-    assert!(out.status.success());
-    assert_eq!(std::fs::read_to_string(&path).expect("report written"), "[]\n");
-}
-
-#[test]
-fn unknown_flags_fail_with_usage() {
-    let out = simlint().arg("--bogus").output().expect("run simlint");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
-}
-
-#[test]
-fn sarif_format_emits_a_valid_skeleton_with_all_rules() {
-    let out =
-        simlint().arg(workspace_root()).args(["--format", "sarif"]).output().expect("run simlint");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let sarif = String::from_utf8(out.stdout).expect("utf8");
-    assert!(sarif.contains("\"version\":\"2.1.0\""));
-    assert!(sarif.contains("\"name\":\"simlint\""));
-    // Every waivable rule plus the meta rules appears in the driver
-    // table even on a clean run.
-    for rule in simlint::RULES {
-        assert!(sarif.contains(&format!("\"id\":\"{rule}\"")), "missing rule {rule}");
+fn unknown_and_retired_flags_fail_with_usage() {
+    for flag in ["--bogus", "--json", "--format", "--out", "--changed-only", "--time-budget"] {
+        let out = simlint().arg(flag).output().expect("run simlint");
+        assert!(!out.status.success(), "{flag}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(&format!("unknown flag {flag}")), "{flag}: {stdout}");
+        assert!(stdout.contains("usage:"), "{flag}");
     }
-    for meta in ["parse-error", "waiver-syntax", "stale-waiver"] {
-        assert!(sarif.contains(&format!("\"id\":\"{meta}\"")), "missing meta rule {meta}");
-    }
-    assert!(sarif.contains("\"results\":[]"), "clean workspace has no results");
-}
-
-#[test]
-fn time_budget_pass_and_fail() {
-    let ok = simlint()
-        .arg(workspace_root())
-        .args(["--time-budget", "300"])
-        .output()
-        .expect("run simlint");
-    assert!(ok.status.success(), "stderr: {}", String::from_utf8_lossy(&ok.stderr));
-    assert!(String::from_utf8_lossy(&ok.stderr).contains("within the 300.0s budget"));
-    let fail = simlint()
-        .arg(workspace_root())
-        .args(["--time-budget", "0.000001"])
-        .output()
-        .expect("run simlint");
-    assert!(!fail.status.success());
-    assert!(String::from_utf8_lossy(&fail.stderr).contains("exceeded"));
-}
-
-#[test]
-fn changed_only_needs_a_ref_after_equals() {
-    let out = simlint().arg(workspace_root()).arg("--changed-only=").output().expect("run simlint");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("needs a git ref"));
-}
-
-#[test]
-fn changed_only_filters_to_changed_files() {
-    // Diffing HEAD against itself yields no changed tracked files; any
-    // untracked files under the workspace are still included, so this
-    // asserts the filter runs and exits cleanly (the workspace is lint-
-    // clean either way).
-    let out = simlint()
-        .arg(workspace_root())
-        .args(["--changed-only=HEAD", "--json"])
-        .output()
-        .expect("run simlint");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert_eq!(String::from_utf8_lossy(&out.stdout), "[]\n");
 }

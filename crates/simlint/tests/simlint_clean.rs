@@ -1,8 +1,11 @@
 //! The enforcement test: the workspace itself must be simlint-clean.
 //! This is what lets CI run the linter as a plain `cargo test` too — a
 //! regression that reintroduces nondeterministic iteration, wall-clock
-//! reads, narrowing counter casts, library panics, or an unsafe-capable
-//! crate root fails here with the exact `file:line: rule — message` list.
+//! reads, or a nondeterministic value flowing into a result record fails
+//! here with the exact `file:line: rule — message` list. The generic
+//! invariants (no unwrap, no prints, no unsafe, no truncating casts in
+//! simcore) are `[workspace.lints]`; the last test here pins that every
+//! package opts in to them.
 
 use std::path::Path;
 
@@ -89,4 +92,39 @@ fn workspace_has_no_stale_waivers() {
     let stale = ws.audit_waivers();
     let report: Vec<String> = stale.iter().map(|f| f.to_string()).collect();
     assert!(stale.is_empty(), "stale waivers:\n{}", report.join("\n"));
+}
+
+/// Does this manifest carry `[lints] workspace = true`?
+fn opts_in_to_workspace_lints(manifest: &str) -> bool {
+    let mut in_lints = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
+    }
+    false
+}
+
+/// `[workspace.lints]` (unsafe_code forbidden, unwrap/expect denied,
+/// truncating casts warned) binds only packages that opt in: the root
+/// package and every crate must carry `[lints] workspace = true`.
+#[test]
+fn every_package_opts_in_to_workspace_lints() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2).expect("workspace root");
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        let manifest = entry.expect("dir entry").path().join("Cargo.toml");
+        if manifest.exists() {
+            manifests.push(manifest);
+        }
+    }
+    assert!(manifests.len() > 10, "walk shrank unexpectedly: {manifests:?}");
+    let missing: Vec<String> = manifests
+        .iter()
+        .filter(|m| !opts_in_to_workspace_lints(&std::fs::read_to_string(m).expect("manifest")))
+        .map(|m| m.display().to_string())
+        .collect();
+    assert!(missing.is_empty(), "packages without `[lints] workspace = true`: {missing:?}");
 }

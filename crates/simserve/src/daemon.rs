@@ -42,7 +42,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Messages the daemon reports through the host's logger hook. The
-/// library itself never prints (simlint D6 covers this crate); the
+/// library itself never prints (its root denies clippy's print lints); the
 /// `simserved` binary installs an stderr-writing hook.
 pub type LogFn = Arc<dyn Fn(&str) + Send + Sync>;
 

@@ -1,4 +1,7 @@
 #![forbid(unsafe_code)]
+// A simulator library reports through stats, telemetry sinks and
+// manifests; a stray print would interleave with the harness's output.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 //! # simserve — the long-running sharded sweep daemon
 //!
 //! Batch harness binaries pay the same setup tax on every invocation:

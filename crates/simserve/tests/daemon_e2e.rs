@@ -2,6 +2,11 @@
 //! overlapping fig7-subset sweeps, byte-identity against the batch
 //! executor, exactly-once simulation proven by cache counters, poison
 //! containment, warm resubmission, and drain shutdown.
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test when their setup cannot hold"
+)]
 
 use gpgraph::SuiteScale;
 use gpworkloads::matrix::{MatrixOptions, Watchdog};

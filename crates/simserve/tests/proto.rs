@@ -1,5 +1,10 @@
 //! Wire-protocol conformance: framing round-trips, corruption and
 //! truncation rejection with typed errors, and the oversize bounds.
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test when their setup cannot hold"
+)]
 
 use simserve::proto::{
     self, CacheStatsMsg, ErrorCode, PointSpec, ProtoError, RecordMsg, Request, Response, StatusMsg,

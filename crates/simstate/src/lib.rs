@@ -1,4 +1,7 @@
 #![forbid(unsafe_code)]
+// A simulator library reports through stats, telemetry sinks and
+// manifests; a stray print would interleave with the harness's output.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 //! # simstate — checkpointable simulator state
 //!
 //! The snapshot subsystem behind crash-consistent sweeps and warmup
@@ -18,7 +21,7 @@
 //! 2. **Bit-identical resumption.** A component's `save_state`/`load_state`
 //!    pair must capture every field that can influence future simulated
 //!    behavior; anything excluded is an explicit approximation documented
-//!    in DESIGN.md §11.
+//!    in DESIGN.md §9.
 //! 3. **Deterministic I/O handling.** Transient write failures retry
 //!    through [`retry_io`] — a bounded attempt ladder with no wall-clock
 //!    backoff, so the simulator stack stays free of host-time reads.

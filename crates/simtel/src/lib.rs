@@ -1,4 +1,7 @@
 #![forbid(unsafe_code)]
+// A simulator library reports through stats, telemetry sinks and
+// manifests; a stray print would interleave with the harness's output.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 //! Deterministic telemetry for the simulator: interval snapshots, a
 //! bounded event trace, and stall-cycle attribution.
 //!

@@ -210,7 +210,6 @@ impl Parser<'_> {
         }
     }
 
-    // simlint::allow(panic-path): byte indexes are bounds-checked by peek()/consume() before slicing
     fn parse_string(&mut self) -> Result<String, String> {
         self.consume(b'"')?;
         let mut out = String::new();
@@ -264,7 +263,6 @@ impl Parser<'_> {
     }
 
     /// A value: a string (unescaped) or a scalar token (returned raw).
-    // simlint::allow(panic-path): byte indexes are bounds-checked by peek()/consume() before slicing
     fn parse_value(&mut self) -> Result<String, String> {
         if self.peek() == Some(b'"') {
             return self.parse_string();

@@ -737,7 +737,6 @@ impl Runner {
     /// through [`Runner::run_matrix_point`]; this layer adds the
     /// sweep-level work — up-front validation, resume, manifest streaming,
     /// progress, fail-fast and eviction.
-    // simlint::allow(panic-path): point/system vectors are index-aligned by construction; the in-fn unwraps hold invariants waived at their sites
     pub fn run_matrix_points(
         &self,
         points: &[MatrixPoint],
@@ -817,10 +816,12 @@ impl Runner {
 
         rayon::scope(|s| {
             for w in shard_order {
-                let indices = shards
-                    .remove(&w)
-                    // simlint::allow(unwrap): invariant — shard_order and shards are built together above
-                    .expect("invariant: every shard_order entry has a shard");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant — shard_order and shards are built together above"
+                )]
+                let indices =
+                    shards.remove(&w).expect("invariant: every shard_order entry has a shard");
                 let (results, completed, graph_pending) = (&results, &completed, &graph_pending);
                 let (writer, manifest_error) = (&writer, &manifest_error);
                 let (abort, first_failure) = (&abort, &first_failure);
@@ -871,9 +872,12 @@ impl Runner {
                     if opts.evict {
                         self.evict_trace(w);
                         let mut pending = graph_pending.lock();
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "invariant — graph_pending covers every shard's graph"
+                        )]
                         let left = pending
                             .get_mut(&w.graph)
-                            // simlint::allow(unwrap): invariant — graph_pending covers every shard's graph
                             .expect("invariant: graph_pending tracks every shard's graph");
                         *left -= 1;
                         if *left == 0 {
@@ -898,11 +902,14 @@ impl Runner {
             return Err(e);
         }
 
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant — rayon::scope joins every spawned shard (fail-fast aborts returned above)"
+        )]
         let records: Vec<RunRecord> = results
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
-                    // simlint::allow(unwrap): invariant — rayon::scope joins every spawned shard (fail-fast aborts returned above)
                     .expect("invariant: every matrix point completes before the scope ends")
             })
             .collect();

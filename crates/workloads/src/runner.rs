@@ -256,10 +256,12 @@ impl Runner {
         let mut engine = self.engine_for(build_system(kind, w.kernel, &self.sdclp));
         engine.enable_stride_profiler();
         engine.replay(&trace);
-        let profile = engine
-            .stride_profile()
-            // simlint::allow(unwrap): invariant — enable_stride_profiler() was called two lines up
-            .expect("invariant: stride profiler enabled before replay");
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant — enable_stride_profiler() was called two lines up"
+        )]
+        let profile =
+            engine.stride_profile().expect("invariant: stride profiler enabled before replay");
         (engine.finish(), profile)
     }
 
