@@ -41,7 +41,7 @@ pub fn connected_components<T: Tracer + ?Sized>(
     let n = g.num_vertices();
     // Built for this run only, over the NA positions of the swept CSR the
     // tracer can still record; dropped when the run (recording) ends.
-    let oracle = NextUseOracle::build(g, t.remaining());
+    let oracle = NextUseOracle::build(g, t.remaining().map(|n| n / mix::NA_POSITION + 1));
 
     let mut space = AddressSpace::new(asid);
     let oa = space.alloc(sid::OA, 8, n as u64 + 1);

@@ -11,6 +11,12 @@
 /// Inner-loop work per edge (index arithmetic, compare, accumulate).
 pub const EDGE: u32 = 8;
 
+/// The fewest instructions a `pr` or `cc` sweep spends on one
+/// neighbors-array position: the NA load, the hinted property gather and
+/// the [`EDGE`] work. A window of `n` instructions reaches at most
+/// `n / NA_POSITION + 1` positions, which bounds the T-OPT oracle table.
+pub const NA_POSITION: u64 = 2 + EDGE as u64;
+
 /// Outer-loop work per vertex (bounds loads, loop control, branches).
 pub const VERTEX: u32 = 6;
 

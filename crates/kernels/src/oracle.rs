@@ -31,13 +31,14 @@ pub struct NextUseOracle {
 
 impl NextUseOracle {
     /// Build the table for the NA positions a run can still record.
-    /// `bound` is the tracer's [`Tracer::remaining`] at the start of the
-    /// run: each NA position costs at least its own NA-load instruction,
-    /// so a hint for position `bound` or later is only ever computed for
-    /// an event the tracer drops, and such positions get no entry. A bound
-    /// of `None` or at least the NA length (a multi-sweep window) keeps
-    /// every position. The backward scan always covers the whole NA, so
-    /// each stored entry equals the unbounded table's.
+    /// `bound` counts those positions: a kernel derives it from the
+    /// tracer's [`Tracer::remaining`] instructions and the fewest each
+    /// position costs ([`crate::mix::NA_POSITION`]), so a hint for position
+    /// `bound` or later is only ever computed for an event the tracer
+    /// drops, and such positions get no entry. A bound of `None` or at
+    /// least the NA length (a multi-sweep window) keeps every position.
+    /// The backward scan always covers the whole NA, so each stored entry
+    /// equals the unbounded table's.
     ///
     /// [`Tracer::remaining`]: simcore::trace::Tracer::remaining
     pub fn build(g: &Csr, bound: Option<u64>) -> Self {

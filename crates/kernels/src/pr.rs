@@ -45,7 +45,7 @@ pub fn pagerank<T: Tracer + ?Sized>(
     let n = g.num_vertices();
     // Built for this run only, over the NA positions of the swept CSC the
     // tracer can still record; dropped when the run (recording) ends.
-    let oracle = NextUseOracle::build(g, t.remaining());
+    let oracle = NextUseOracle::build(g, t.remaining().map(|n| n / mix::NA_POSITION + 1));
 
     let mut space = AddressSpace::new(asid);
     let oa = space.alloc(sid::OA, 8, n as u64 + 1);

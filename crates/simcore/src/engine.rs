@@ -1,12 +1,13 @@
 //! Single-core simulation engine: drives a [`MemorySystem`] with an
 //! instruction stream through the ROB timing model, with warmup and
 //! measurement windows (the SimPoint-style methodology of Section IV-C).
+//! Its per-core model, [`CoreReplay`], also runs each multicore core.
 
 use crate::block::block_of;
-use crate::hierarchy::{MemorySystem, ServedBy};
+use crate::hierarchy::{AccessOutcome, MemorySystem, ServedBy};
 use crate::rob::RobModel;
 use crate::stats::{CacheStats, HierStats, SimResult, StrideProfile, StrideProfiler};
-use crate::trace::{CompactTrace, MemRef, Tracer};
+use crate::trace::{CompactTrace, MemRef, TraceEvent, Tracer};
 use simtel::{
     DramDelta, EventKind, ExtraCounters, LevelDelta, LpDelta, StallBuckets, TelemetryHandle,
     TelemetryInterval,
@@ -70,23 +71,22 @@ impl Budget {
 /// of the last snapshot, so each interval is an exact delta. Reset at the
 /// warmup/measurement boundary so intervals cover only the window the
 /// final [`SimResult`] reports — interval sums reconcile with it exactly.
-/// Shared with [`crate::multicore`], which keeps one per core.
 #[derive(Default)]
-pub(crate) struct TelSnap {
-    pub(crate) index: u64,
-    pub(crate) last_cycle: u64,
-    pub(crate) prev_instrs: u64,
+struct TelSnap {
+    index: u64,
+    last_cycle: u64,
+    prev_instrs: u64,
     /// Measured-instruction count that triggers the next snapshot
     /// (0 while telemetry is disabled — the hot-path guard).
-    pub(crate) next_instrs: u64,
-    pub(crate) prev_stats: HierStats,
-    pub(crate) prev_extra: ExtraCounters,
-    pub(crate) prev_stalls: StallBuckets,
+    next_instrs: u64,
+    prev_stats: HierStats,
+    prev_extra: ExtraCounters,
+    prev_stalls: StallBuckets,
 }
 
 impl TelSnap {
     /// Anchor the baseline at the start of a measurement window.
-    pub(crate) fn arm(
+    fn arm(
         &mut self,
         every: u64,
         cycle: u64,
@@ -107,7 +107,7 @@ impl TelSnap {
 
     /// Diff the cumulative counters against the baseline into one interval
     /// record, then roll the baseline forward to `end_cycle`/`measured`.
-    pub(crate) fn build(
+    fn build(
         &mut self,
         core: u32,
         end_cycle: u64,
@@ -123,6 +123,7 @@ impl TelSnap {
                 misses: now.misses.saturating_sub(prev.misses),
             }
         }
+        let (p, px) = (&self.prev_stats, &self.prev_extra);
         let mut stalls = stalls_now.delta_since(&self.prev_stalls);
         stalls.busy = end_cycle.saturating_sub(self.last_cycle).saturating_sub(stalls.attributed());
         let interval = TelemetryInterval {
@@ -131,29 +132,24 @@ impl TelSnap {
             start_cycle: self.last_cycle,
             end_cycle,
             instructions: measured.saturating_sub(self.prev_instrs),
-            l1d: level(&stats.l1d, &self.prev_stats.l1d),
-            sdc: level(&stats.sdc, &self.prev_stats.sdc),
-            l2c: level(&stats.l2c, &self.prev_stats.l2c),
-            llc: level(&stats.llc, &self.prev_stats.llc),
+            l1d: level(&stats.l1d, &p.l1d),
+            sdc: level(&stats.sdc, &p.sdc),
+            l2c: level(&stats.l2c, &p.l2c),
+            llc: level(&stats.llc, &p.llc),
             dram: DramDelta {
-                reads: stats.dram.reads.saturating_sub(self.prev_stats.dram.reads),
-                writes: stats.dram.writes.saturating_sub(self.prev_stats.dram.writes),
-                row_hits: stats.dram.row_hits.saturating_sub(self.prev_stats.dram.row_hits),
-                row_misses: stats.dram.row_misses.saturating_sub(self.prev_stats.dram.row_misses),
-                row_conflicts: stats
-                    .dram
-                    .row_conflicts
-                    .saturating_sub(self.prev_stats.dram.row_conflicts),
+                reads: stats.dram.reads.saturating_sub(p.dram.reads),
+                writes: stats.dram.writes.saturating_sub(p.dram.writes),
+                row_hits: stats.dram.row_hits.saturating_sub(p.dram.row_hits),
+                row_misses: stats.dram.row_misses.saturating_sub(p.dram.row_misses),
+                row_conflicts: stats.dram.row_conflicts.saturating_sub(p.dram.row_conflicts),
             },
             mshr_high_water: extra.mshr_high_water,
             lp: LpDelta {
-                lookups: extra.lp_lookups.saturating_sub(self.prev_extra.lp_lookups),
-                sdc_routes: extra.lp_sdc_routes.saturating_sub(self.prev_extra.lp_sdc_routes),
-                hierarchy_routes: extra
-                    .lp_hierarchy_routes
-                    .saturating_sub(self.prev_extra.lp_hierarchy_routes),
+                lookups: extra.lp_lookups.saturating_sub(px.lp_lookups),
+                sdc_routes: extra.lp_sdc_routes.saturating_sub(px.lp_sdc_routes),
+                hierarchy_routes: extra.lp_hierarchy_routes.saturating_sub(px.lp_hierarchy_routes),
             },
-            sdc_bypasses: extra.sdc_bypasses.saturating_sub(self.prev_extra.sdc_bypasses),
+            sdc_bypasses: extra.sdc_bypasses.saturating_sub(px.sdc_bypasses),
             stalls,
         };
         self.index += 1;
@@ -163,6 +159,160 @@ impl TelSnap {
         self.prev_extra = extra;
         self.prev_stalls = stalls_now;
         interval
+    }
+}
+
+/// One core's replay state: its ROB, its position in the window, and the
+/// telemetry interval baseline. Both engines advance cores only through
+/// [`CoreReplay::step`] and close them through [`CoreReplay::finish`];
+/// the memory side is whatever [`MemorySystem`] the engine hands in (the
+/// whole machine single-core, one core's view of it in multicore).
+pub(crate) struct CoreReplay {
+    pub(crate) rob: RobModel,
+    pub(crate) window: Window,
+    pub(crate) instrs: u64,
+    pub(crate) measuring: bool,
+    pub(crate) measure_start_cycle: u64,
+    /// Interval sink; its core id stamps this core's intervals.
+    pub(crate) tel: TelemetryHandle,
+    snap: TelSnap,
+}
+
+impl CoreReplay {
+    /// A core at cycle 0. A zero-length warmup opens the measurement
+    /// window at once.
+    pub(crate) fn new(
+        width: usize,
+        rob_entries: usize,
+        window: Window,
+        tel: TelemetryHandle,
+        mem: &mut impl MemorySystem,
+    ) -> Self {
+        let mut core = CoreReplay {
+            rob: RobModel::new(width, rob_entries),
+            window,
+            instrs: 0,
+            measuring: false,
+            measure_start_cycle: 0,
+            tel,
+            snap: TelSnap::default(),
+        };
+        if window.warmup == 0 {
+            core.begin_measurement(mem);
+        }
+        core
+    }
+
+    /// Has the core retired its whole window?
+    pub(crate) fn window_done(&self) -> bool {
+        self.instrs >= self.window.total()
+    }
+
+    /// Replay one event: dispatch a memory access to `mem` and retire it
+    /// into the ROB, or retire a run of bubbles; count it, open the
+    /// measurement window when it ends warmup, and emit a telemetry
+    /// interval when one is due. Returns a memory event's outcome and the
+    /// cycle its ROB entry completes.
+    #[inline]
+    pub(crate) fn step(
+        &mut self,
+        ev: TraceEvent,
+        mem: &mut impl MemorySystem,
+    ) -> Option<(AccessOutcome, u64)> {
+        let before = self.instrs;
+        let access = if ev.is_mem() {
+            let r = ev.as_mem_ref();
+            let d = self.rob.dispatch_slot();
+            let outcome = mem.access(&r, d);
+            let (completion, tag) = outcome.rob_entry(r.is_write, d);
+            self.rob.complete_tagged(completion, tag);
+            self.instrs += 1;
+            Some((outcome, completion))
+        } else {
+            self.rob.bubbles(ev.addr);
+            self.instrs += ev.addr;
+            None
+        };
+        if !self.measuring && before < self.window.warmup && self.instrs >= self.window.warmup {
+            self.begin_measurement(mem);
+        }
+        // `next_instrs` is 0 unless a sink is attached, so the disabled
+        // path pays exactly one compare here.
+        if self.snap.next_instrs != 0 && self.measuring {
+            self.maybe_emit(mem);
+        }
+        access
+    }
+
+    fn begin_measurement(&mut self, mem: &mut impl MemorySystem) {
+        self.measuring = true;
+        self.measure_start_cycle = self.rob.current_cycle();
+        mem.reset_stats();
+        self.arm_telemetry(mem);
+    }
+
+    /// Anchor the interval baseline at the current state, so intervals
+    /// cover only what follows (measurement start, a sink attached
+    /// mid-window, a restore). A no-op without a sink or during warmup.
+    pub(crate) fn arm_telemetry(&mut self, mem: &impl MemorySystem) {
+        if self.measuring && self.tel.enabled() {
+            self.snap.arm(
+                self.tel.interval_instructions(),
+                self.rob.current_cycle(),
+                mem.collect_stats(),
+                mem.telemetry_counters(),
+                self.rob.stalls,
+            );
+        }
+    }
+
+    /// Emit at most one interval per event. The cadence is instruction
+    /// driven, but an interval must also advance the cycle clock so
+    /// `end_cycle` stays strictly monotone across snapshots.
+    fn maybe_emit(&mut self, mem: &impl MemorySystem) {
+        let measured = self.instrs.saturating_sub(self.window.warmup);
+        if measured < self.snap.next_instrs {
+            return;
+        }
+        let now = self.rob.current_cycle();
+        if now <= self.snap.last_cycle {
+            return;
+        }
+        self.emit(now, measured, mem);
+        let every = self.tel.interval_instructions().max(1);
+        self.snap.next_instrs = (measured / every + 1) * every;
+    }
+
+    fn emit(&mut self, end_cycle: u64, measured: u64, mem: &impl MemorySystem) {
+        let interval = self.snap.build(
+            self.tel.core(),
+            end_cycle,
+            measured,
+            mem.collect_stats(),
+            mem.telemetry_counters(),
+            self.rob.stalls,
+        );
+        self.tel.interval(&interval);
+    }
+
+    /// Drain the ROB and flush the tail interval, so per-interval sums
+    /// reconcile exactly with the window. Returns the window's
+    /// (instructions, cycles); a run that ended inside warmup reports
+    /// the whole run.
+    pub(crate) fn finish(&mut self, mem: &impl MemorySystem) -> (u64, u64) {
+        let end = self.rob.drain();
+        let measured = self.instrs.saturating_sub(self.window.warmup);
+        if self.snap.next_instrs != 0 && self.measuring {
+            let tail_is_empty =
+                measured == self.snap.prev_instrs && mem.collect_stats() == self.snap.prev_stats;
+            // Draining may not advance the dispatch clock, so the tail is
+            // granted at least one cycle.
+            if !tail_is_empty {
+                self.emit(end.max(self.snap.last_cycle + 1), measured, mem);
+            }
+        }
+        let cycles = end.saturating_sub(self.measure_start_cycle).max(1);
+        (if self.measuring { measured } else { self.instrs }, cycles)
     }
 }
 
@@ -181,41 +331,29 @@ fn tel_level(s: ServedBy) -> simtel::Level {
 /// Implements [`Tracer`], so an instrumented kernel can stream into it
 /// directly, and also replays pre-recorded [`CompactTrace`]s (the mode the
 /// experiment harness uses so every configuration sees identical input).
+/// Beyond the per-core step it keeps what only a single-core run has: the
+/// watchdog [`Budget`], the stride profiler and `CacheMiss` events.
 pub struct Engine<M: MemorySystem> {
-    rob: RobModel,
+    core: CoreReplay,
     pub mem: M,
-    window: Window,
-    instrs: u64,
-    measure_start_cycle: u64,
-    in_measurement: bool,
     profiler: Option<StrideProfiler>,
     budget: Budget,
     mem_events: u64,
     timed_out: bool,
-    tel: TelemetryHandle,
-    tel_snap: TelSnap,
 }
 
 impl<M: MemorySystem> Engine<M> {
-    pub fn new(mem: M, width: usize, rob_entries: usize, window: Window) -> Self {
-        let mut e = Engine {
-            rob: RobModel::new(width, rob_entries),
+    pub fn new(mut mem: M, width: usize, rob_entries: usize, window: Window) -> Self {
+        let tel = TelemetryHandle::disabled();
+        let core = CoreReplay::new(width, rob_entries, window, tel, &mut mem);
+        Engine {
+            core,
             mem,
-            window,
-            instrs: 0,
-            measure_start_cycle: 0,
-            in_measurement: false,
             profiler: None,
             budget: Budget::default(),
             mem_events: 0,
             timed_out: false,
-            tel: TelemetryHandle::disabled(),
-            tel_snap: TelSnap::default(),
-        };
-        if window.warmup == 0 {
-            e.begin_measurement();
         }
-        e
     }
 
     /// Enable the PC-stride profiler (Fig. 3 instrumentation).
@@ -236,23 +374,8 @@ impl<M: MemorySystem> Engine<M> {
     /// re-anchored to the current state.
     pub fn attach_telemetry(&mut self, tel: TelemetryHandle) {
         self.mem.attach_telemetry(tel.clone());
-        self.tel = tel;
-        if self.in_measurement {
-            self.reset_tel_baseline();
-        }
-    }
-
-    fn reset_tel_baseline(&mut self) {
-        if !self.tel.enabled() {
-            return;
-        }
-        self.tel_snap.arm(
-            self.tel.interval_instructions(),
-            self.rob.current_cycle(),
-            self.mem.collect_stats(),
-            self.mem.telemetry_counters(),
-            self.rob.stalls,
-        );
+        self.core.tel = tel;
+        self.core.arm_telemetry(&self.mem);
     }
 
     /// Did the run cross a watchdog ceiling? (The partial result from
@@ -263,74 +386,49 @@ impl<M: MemorySystem> Engine<M> {
 
     /// Total simulated cycles so far.
     pub fn current_cycle(&self) -> u64 {
-        self.rob.current_cycle()
+        self.core.rob.current_cycle()
     }
 
     fn check_budget(&mut self) {
         if self.timed_out {
             return;
         }
-        let cycles_hit = self.budget.max_cycles.is_some_and(|max| self.rob.current_cycle() >= max);
+        let now = self.core.rob.current_cycle();
+        let cycles_hit = self.budget.max_cycles.is_some_and(|max| now >= max);
         let events_hit = self.budget.max_events.is_some_and(|max| self.mem_events >= max);
         if cycles_hit || events_hit {
             self.timed_out = true;
-            self.tel.event(self.rob.current_cycle(), || EventKind::WatchdogTick);
+            self.core.tel.event(now, || EventKind::WatchdogTick);
         }
     }
 
-    fn begin_measurement(&mut self) {
-        self.in_measurement = true;
-        self.measure_start_cycle = self.rob.current_cycle();
-        self.mem.reset_stats();
-        if let Some(p) = &mut self.profiler {
+    /// Replay one event through the core step, then do the single-core
+    /// bookkeeping: `CacheMiss` events, the stride profile (measurement
+    /// accesses only, restarted when measurement opens) and the budget.
+    fn step(&mut self, ev: TraceEvent) {
+        let was_measuring = self.core.measuring;
+        if let Some((outcome, completion)) = self.core.step(ev, &mut self.mem) {
+            let tel = &self.core.tel;
+            if tel.enabled() && !matches!(outcome.served_by, ServedBy::L1d | ServedBy::Sdc) {
+                tel.event(completion, || EventKind::CacheMiss {
+                    served_by: tel_level(outcome.served_by),
+                });
+            }
+            if let (true, Some(p)) = (was_measuring, &mut self.profiler) {
+                p.observe(ev.pc, block_of(ev.addr), outcome.served_by_dram());
+            }
+            self.mem_events += 1;
+        }
+        if let (false, true, Some(p)) = (was_measuring, self.core.measuring, &mut self.profiler) {
             *p = StrideProfiler::new();
         }
-        self.reset_tel_baseline();
-    }
-
-    fn note_instructions(&mut self, n: u64) {
-        let before = self.instrs;
-        self.instrs += n;
-        if !self.in_measurement && before < self.window.warmup && self.instrs >= self.window.warmup
-        {
-            self.begin_measurement();
-        }
-        // `next_instrs` is 0 unless a sink is attached, so the disabled
-        // path pays exactly one compare here.
-        if self.tel_snap.next_instrs != 0 && self.in_measurement {
-            self.maybe_snapshot();
+        if !self.budget.is_unlimited() {
+            self.check_budget();
         }
     }
 
-    /// Emit at most one interval per call. The cadence is instruction
-    /// driven, but an interval must also advance the cycle clock so
-    /// `end_cycle` stays strictly monotone across snapshots.
-    fn maybe_snapshot(&mut self) {
-        let measured = self.instrs.saturating_sub(self.window.warmup);
-        if measured < self.tel_snap.next_instrs {
-            return;
-        }
-        let now = self.rob.current_cycle();
-        if now <= self.tel_snap.last_cycle {
-            return;
-        }
-        self.emit_interval(now, measured);
-        let every = self.tel.interval_instructions().max(1);
-        self.tel_snap.next_instrs = (measured / every + 1) * every;
-    }
-
-    fn emit_interval(&mut self, end_cycle: u64, measured: u64) {
-        let stats = self.mem.collect_stats();
-        let extra = self.mem.telemetry_counters();
-        let interval = self.tel_snap.build(
-            self.tel.core(),
-            end_cycle,
-            measured,
-            stats,
-            extra,
-            self.rob.stalls,
-        );
-        self.tel.interval(&interval);
+    fn bubble_n(&mut self, n: u64) {
+        self.step(TraceEvent::bubble(n));
     }
 
     /// Replay a recorded trace through the engine.
@@ -356,119 +454,66 @@ impl<M: MemorySystem> Engine<M> {
             if self.done() {
                 break;
             }
-            if ev.is_mem() {
-                self.mem(ev.as_mem_ref());
-            } else {
-                self.bubble_n(ev.addr);
-            }
+            self.step(ev);
             idx += 1;
         }
         idx
     }
 
-    /// Serialize the engine's complete deterministic state: the ROB, the
-    /// memory system under test, the window position, and the budget spend
-    /// (`mem_events`/`timed_out`). Window geometry is stored for
-    /// validation. Deliberately *not* stored (caller configuration or pure
-    /// observers, re-attached after restore): the budget ceilings, the
-    /// telemetry sink, and the stride profiler.
-    pub fn save_state(&self, w: &mut simstate::StateSink) {
-        w.tag(b"ENG_");
-        w.put_u64(self.window.warmup);
-        w.put_u64(self.window.measure);
-        self.rob.save_state(w);
-        self.mem.save_state(w);
-        w.put_u64(self.instrs);
-        w.put_u64(self.measure_start_cycle);
-        w.put_bool(self.in_measurement);
-        w.put_u64(self.mem_events);
-        w.put_bool(self.timed_out);
-    }
-
-    /// Restore state saved by [`Engine::save_state`] into an engine built
-    /// with the same configuration and window. The telemetry interval
-    /// baseline is re-anchored to the restored state (intervals emitted
-    /// after a restore cover only post-restore execution).
-    pub fn load_state(
-        &mut self,
-        r: &mut simstate::StateSource,
-    ) -> Result<(), simstate::StateError> {
-        r.expect_tag(b"ENG_")?;
-        let warmup = r.get_u64()?;
-        if warmup != self.window.warmup {
-            return Err(simstate::StateError::ShapeMismatch {
-                what: "window warmup",
-                expected: self.window.warmup,
-                found: warmup,
-            });
-        }
-        let measure = r.get_u64()?;
-        if measure != self.window.measure {
-            return Err(simstate::StateError::ShapeMismatch {
-                what: "window measure",
-                expected: self.window.measure,
-                found: measure,
-            });
-        }
-        self.rob.load_state(r)?;
-        self.mem.load_state(r)?;
-        self.instrs = r.get_u64()?;
-        self.measure_start_cycle = r.get_u64()?;
-        self.in_measurement = r.get_bool()?;
-        self.mem_events = r.get_u64()?;
-        self.timed_out = r.get_bool()?;
-        if self.in_measurement {
-            self.reset_tel_baseline();
-        }
-        Ok(())
-    }
-
-    /// One-call snapshot: the serialized state for an `SSTATEv2`
-    /// container.
+    /// Serialize the engine's complete deterministic state for an
+    /// `SSTATEv2` container: the ROB, the memory system under test, the
+    /// window position, and the budget spend (`mem_events`/`timed_out`).
+    /// Window geometry is stored for validation. Deliberately *not* stored
+    /// (caller configuration or pure observers, re-attached after
+    /// restore): the budget ceilings, the telemetry sink, and the stride
+    /// profiler.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = simstate::StateSink::new();
-        self.save_state(&mut w);
+        let core = &self.core;
+        w.tag(b"ENG_");
+        w.put_u64(core.window.warmup);
+        w.put_u64(core.window.measure);
+        core.rob.save_state(&mut w);
+        self.mem.save_state(&mut w);
+        w.put_u64(core.instrs);
+        w.put_u64(core.measure_start_cycle);
+        w.put_bool(core.measuring);
+        w.put_u64(self.mem_events);
+        w.put_bool(self.timed_out);
         w.into_bytes()
     }
 
-    /// Restore from a payload produced by [`Engine::snapshot`], requiring
-    /// the payload to be fully consumed.
+    /// Restore a [`Engine::snapshot`] payload, which must be fully
+    /// consumed, into an engine built with the same configuration and
+    /// window. The telemetry interval baseline is re-anchored to the
+    /// restored state (intervals emitted after a restore cover only
+    /// post-restore execution).
     pub fn restore(&mut self, payload: &[u8]) -> Result<(), simstate::StateError> {
         let mut r = simstate::StateSource::new(payload);
-        self.load_state(&mut r)?;
-        r.expect_end()
-    }
-
-    fn bubble_n(&mut self, n: u64) {
-        self.rob.bubbles(n);
-        self.note_instructions(n);
-        if !self.budget.is_unlimited() {
-            self.check_budget();
+        r.expect_tag(b"ENG_")?;
+        let window = self.core.window;
+        for (what, expected) in
+            [("window warmup", window.warmup), ("window measure", window.measure)]
+        {
+            let found = r.get_u64()?;
+            if found != expected {
+                return Err(simstate::StateError::ShapeMismatch { what, expected, found });
+            }
         }
+        self.core.rob.load_state(&mut r)?;
+        self.mem.load_state(&mut r)?;
+        self.core.instrs = r.get_u64()?;
+        self.core.measure_start_cycle = r.get_u64()?;
+        self.core.measuring = r.get_bool()?;
+        self.mem_events = r.get_u64()?;
+        self.timed_out = r.get_bool()?;
+        self.core.arm_telemetry(&self.mem);
+        r.expect_end()
     }
 
     /// Finish the run and produce the measurement-window result.
     pub fn finish(mut self) -> SimResult {
-        let end = self.rob.drain();
-        // Flush the tail interval so per-interval sums reconcile exactly
-        // with the final window stats. Draining may not advance the
-        // dispatch clock, so the tail is granted at least one cycle.
-        if self.tel_snap.next_instrs != 0 && self.in_measurement {
-            let measured = self.instrs.saturating_sub(self.window.warmup);
-            let tail_is_empty = measured == self.tel_snap.prev_instrs
-                && self.mem.collect_stats() == self.tel_snap.prev_stats;
-            if !tail_is_empty {
-                let end_cycle = end.max(self.tel_snap.last_cycle + 1);
-                self.emit_interval(end_cycle, measured);
-            }
-        }
-        let cycles = end.saturating_sub(self.measure_start_cycle).max(1);
-        let instructions = if self.in_measurement {
-            self.instrs.saturating_sub(self.window.warmup)
-        } else {
-            // The workload ended inside warmup; fall back to whole-run stats.
-            self.instrs
-        };
+        let (instructions, cycles) = self.core.finish(&self.mem);
         SimResult { instructions, cycles, stats: self.mem.collect_stats() }
     }
 
@@ -478,50 +523,30 @@ impl<M: MemorySystem> Engine<M> {
     }
 
     pub fn instructions(&self) -> u64 {
-        self.instrs
+        self.core.instrs
     }
 }
 
 impl<M: MemorySystem> Tracer for Engine<M> {
     fn mem(&mut self, r: MemRef) {
-        if self.done() {
-            return;
-        }
-        let d = self.rob.dispatch_slot();
-        let outcome = self.mem.access(&r, d);
-        let (completion, tag) = outcome.rob_entry(r.is_write, d);
-        self.rob.complete_tagged(completion, tag);
-        if self.tel.enabled() && !matches!(outcome.served_by, ServedBy::L1d | ServedBy::Sdc) {
-            self.tel.event(completion, || EventKind::CacheMiss {
-                served_by: tel_level(outcome.served_by),
-            });
-        }
-        if self.in_measurement {
-            if let Some(p) = &mut self.profiler {
-                p.observe(r.pc, block_of(r.addr), outcome.served_by_dram());
-            }
-        }
-        self.note_instructions(1);
-        self.mem_events += 1;
-        if !self.budget.is_unlimited() {
-            self.check_budget();
+        if !self.done() {
+            self.step(TraceEvent::mem(&r));
         }
     }
 
     fn bubble(&mut self, n: u32) {
-        if self.done() {
-            return;
+        if !self.done() {
+            self.bubble_n(u64::from(n));
         }
-        self.bubble_n(u64::from(n));
     }
 
     fn done(&self) -> bool {
-        self.timed_out || self.instrs >= self.window.total()
+        self.timed_out || self.core.window_done()
     }
 
     fn remaining(&self) -> Option<u64> {
-        let left = if self.timed_out { 0 } else { self.window.total().saturating_sub(self.instrs) };
-        Some(left)
+        let left = self.core.window.total().saturating_sub(self.core.instrs);
+        Some(if self.timed_out { 0 } else { left })
     }
 }
 

@@ -30,7 +30,6 @@
 
 pub mod block;
 pub mod cache;
-pub mod coherence;
 pub mod config;
 pub mod distill;
 pub mod dram;

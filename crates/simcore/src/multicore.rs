@@ -10,29 +10,63 @@
 //! contention, while the other cores finish. The usual multi-programmed
 //! methodology keeps finished cores running; EXPERIMENTS.md lists this
 //! under Known deviations.
+//!
+//! Each core steps through the single-core [`CoreReplay`]; this module
+//! adds the scheduler, wrapping cursors, address offsets and backend reset.
 
-use crate::engine::TelSnap;
-use crate::hierarchy::{CoreMemory, SharedBackend};
-use crate::rob::RobModel;
-use crate::stats::SimResult;
-use crate::trace::CompactTrace;
+use crate::engine::CoreReplay;
+use crate::hierarchy::{AccessOutcome, CoreMemory, MemorySystem, SharedBackend};
+use crate::stats::{HierStats, SimResult};
+use crate::trace::{CompactTrace, MemRef};
 use simtel::TelemetryHandle;
 
 /// Per-core warmup/measure window (instructions).
 pub use crate::engine::Window;
 
 struct CoreState {
-    rob: RobModel,
-    instrs: u64,
+    replay: CoreReplay,
     event_idx: usize,
     /// Trace events consumed (monotonic — `event_idx` wraps, this does not).
     consumed: u64,
-    measuring: bool,
-    measure_start_cycle: u64,
-    finished: bool,
-    result_cycles: u64,
-    result_instrs: u64,
-    tel: TelSnap,
+    /// The window's (instructions, cycles), once the core has finished it.
+    result: Option<(u64, u64)>,
+}
+
+/// One core's private memory side on the shared backend, as the memory
+/// system its [`CoreReplay`] steps: addresses move into the core's
+/// address space, and statistics are the core's own (the shared LLC and
+/// DRAM counters are machine-wide).
+struct CoreView<'a, C> {
+    mem: &'a mut C,
+    backend: &'a mut SharedBackend,
+    offset: u64,
+}
+
+impl<C: CoreMemory> MemorySystem for CoreView<'_, C> {
+    fn access(&mut self, r: &MemRef, now: u64) -> AccessOutcome {
+        let r = MemRef { addr: r.addr + self.offset, ..*r };
+        self.mem.access(&r, now, self.backend)
+    }
+
+    fn collect_stats(&self) -> HierStats {
+        self.mem.collect_core_stats()
+    }
+
+    fn reset_stats(&mut self) {
+        self.mem.reset_stats();
+    }
+
+    fn telemetry_counters(&self) -> simtel::ExtraCounters {
+        self.mem.telemetry_counters()
+    }
+
+    fn save_state(&self, w: &mut simstate::StateSink) {
+        self.mem.save_state(w);
+    }
+
+    fn load_state(&mut self, r: &mut simstate::StateSource) -> Result<(), simstate::StateError> {
+        self.mem.load_state(r)
+    }
 }
 
 /// The multi-core engine.
@@ -56,12 +90,8 @@ impl<C: CoreMemory> MulticoreEngine<C> {
     /// machine-wide, so they stay zero in per-core intervals and appear
     /// only in the final per-run stats.
     pub fn attach_telemetry(&mut self, tel: TelemetryHandle) {
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "core ids are below the core count, a handful"
-        )]
-        for (i, mem) in self.mems.iter_mut().enumerate() {
-            mem.attach_telemetry(tel.for_core(i as u32));
+        for (mem, c) in self.mems.iter_mut().zip(0u32..) {
+            mem.attach_telemetry(tel.for_core(c));
         }
         self.backend.attach_telemetry(tel.for_core(simtel::SHARED_CORE));
         self.tel = tel;
@@ -94,35 +124,21 @@ impl<C: CoreMemory> MulticoreEngine<C> {
     /// Begin a steppable run: build per-core state and return the driver.
     /// Splitting construction from stepping lets the sweep layer advance
     /// the machine in bounded spans and snapshot between them.
-    pub fn start(self, offsets: &[u64], width: usize, rob_entries: usize) -> MulticoreRun<C> {
+    pub fn start(mut self, offsets: &[u64], width: usize, rob_entries: usize) -> MulticoreRun<C> {
         assert_eq!(offsets.len(), self.mems.len());
-        let every = self.tel.interval_instructions();
-        let mut cores: Vec<CoreState> = (0..self.mems.len())
-            .map(|_| CoreState {
-                rob: RobModel::new(width, rob_entries),
-                instrs: 0,
-                event_idx: 0,
-                consumed: 0,
-                measuring: self.window.warmup == 0,
-                measure_start_cycle: 0,
-                finished: false,
-                result_cycles: 0,
-                result_instrs: 0,
-                tel: TelSnap::default(),
-            })
-            .collect();
-        if every != 0 && self.window.warmup == 0 {
-            for (i, c) in cores.iter_mut().enumerate() {
-                c.tel.arm(
-                    every,
-                    0,
-                    self.mems[i].collect_core_stats(),
-                    self.mems[i].telemetry_counters(),
-                    c.rob.stalls,
-                );
-            }
+        let window = self.window;
+        let mut cores = Vec::with_capacity(offsets.len());
+        for (i, c) in (0..offsets.len()).zip(0u32..) {
+            let tel = self.tel.for_core(c);
+            let mut mem = self.view(i, offsets[i]);
+            let replay = CoreReplay::new(width, rob_entries, window, tel, &mut mem);
+            cores.push(CoreState { replay, event_idx: 0, consumed: 0, result: None });
         }
         MulticoreRun { engine: self, cores, offsets: offsets.to_vec() }
+    }
+
+    fn view(&mut self, core: usize, offset: u64) -> CoreView<'_, C> {
+        CoreView { mem: &mut self.mems[core], backend: &mut self.backend, offset }
     }
 }
 
@@ -138,7 +154,7 @@ pub struct MulticoreRun<C: CoreMemory> {
 impl<C: CoreMemory> MulticoreRun<C> {
     /// Is every core past its measurement window?
     pub fn done(&self) -> bool {
-        self.cores.iter().all(|c| c.finished)
+        self.cores.iter().all(|c| c.result.is_some())
     }
 
     /// Total scheduler steps consumed so far (one trace event per step),
@@ -154,30 +170,18 @@ impl<C: CoreMemory> MulticoreRun<C> {
     pub fn step_span(&mut self, traces: &[&CompactTrace], max_steps: u64) -> bool {
         assert_eq!(traces.len(), self.cores.len());
         assert!(traces.iter().all(|t| !t.is_empty()), "cannot replay an empty trace");
-        let n = self.cores.len();
-        let every = self.engine.tel.interval_instructions();
-        let window = self.engine.window;
-        let mut stepped = 0u64;
         // One sequential decoder per core at its stored position.
-        let mut cursors: Vec<_> = self
-            .cores
-            .iter()
-            .zip(traces)
-            .map(|(c, t)| {
-                let mut cursor = t.events.iter_from(c.event_idx);
-                cursor.wrap();
-                cursor
-            })
-            .collect();
-        // Advance the unfinished core with the smallest local cycle.
-        while stepped < max_steps {
-            let Some(cid) = (0..n)
-                .filter(|&i| !self.cores[i].finished)
-                .min_by_key(|&i| self.cores[i].rob.current_cycle())
+        let mut cursors: Vec<_> =
+            self.cores.iter().zip(traces).map(|(c, t)| t.events.iter_from(c.event_idx)).collect();
+        cursors.iter_mut().for_each(|c| c.wrap());
+        for _ in 0..max_steps {
+            // Advance the unfinished core with the smallest local cycle.
+            let Some(cid) = (0..self.cores.len())
+                .filter(|&i| self.cores[i].result.is_none())
+                .min_by_key(|&i| self.cores[i].replay.rob.current_cycle())
             else {
                 return false;
             };
-            stepped += 1;
             let core = &mut self.cores[cid];
             let cursor = &mut cursors[cid];
             // Never at the end: traces are non-empty and cursors wrap eagerly.
@@ -186,92 +190,16 @@ impl<C: CoreMemory> MulticoreRun<C> {
             core.event_idx = cursor.pos();
             core.consumed += 1;
 
-            let before = core.instrs;
-            if ev.is_mem() {
-                let mut r = ev.as_mem_ref();
-                r.addr += self.offsets[cid];
-                let d = core.rob.dispatch_slot();
-                let out = self.engine.mems[cid].access(&r, d, &mut self.engine.backend);
-                let (completion, tag) = out.rob_entry(r.is_write, d);
-                core.rob.complete_tagged(completion, tag);
-                core.instrs += 1;
-            } else {
-                core.rob.bubbles(ev.addr);
-                core.instrs += ev.addr;
+            let was_measuring = core.replay.measuring;
+            let mut mem = self.engine.view(cid, self.offsets[cid]);
+            core.replay.step(ev, &mut mem);
+            let crossed_warmup = !was_measuring && core.replay.measuring;
+            if core.replay.window_done() {
+                core.result = Some(core.replay.finish(&mem));
             }
-
-            // Warmup boundary: reset this core's private stats.
-            let crossed_warmup =
-                !core.measuring && before < window.warmup && core.instrs >= window.warmup;
-            if crossed_warmup {
-                core.measuring = true;
-                core.measure_start_cycle = core.rob.current_cycle();
-                self.engine.mems[cid].reset_stats();
-                if every != 0 {
-                    core.tel.arm(
-                        every,
-                        core.rob.current_cycle(),
-                        self.engine.mems[cid].collect_core_stats(),
-                        self.engine.mems[cid].telemetry_counters(),
-                        core.rob.stalls,
-                    );
-                }
-            }
-
-            // Interval snapshot (same cadence and monotonicity rules as the
-            // single-core engine; at most one per event).
-            if core.tel.next_instrs != 0 && core.measuring && !core.finished {
-                let measured = core.instrs.saturating_sub(window.warmup);
-                let now = core.rob.current_cycle();
-                if measured >= core.tel.next_instrs && now > core.tel.last_cycle {
-                    #[expect(
-                        clippy::cast_possible_truncation,
-                        reason = "core ids are below the core count, a handful"
-                    )]
-                    let interval = core.tel.build(
-                        cid as u32,
-                        now,
-                        measured,
-                        self.engine.mems[cid].collect_core_stats(),
-                        self.engine.mems[cid].telemetry_counters(),
-                        core.rob.stalls,
-                    );
-                    self.engine.tel.interval(&interval);
-                    core.tel.next_instrs = (measured / every + 1) * every;
-                }
-            }
-
-            // Measurement complete for this core?
-            if !core.finished && core.instrs >= window.total() {
-                core.finished = true;
-                let end = core.rob.drain();
-                core.result_cycles = end.saturating_sub(core.measure_start_cycle).max(1);
-                core.result_instrs = core.instrs - window.warmup.min(core.instrs);
-                // Tail flush so this core's interval sums cover its window.
-                if core.tel.next_instrs != 0 {
-                    let measured = core.result_instrs;
-                    if measured > core.tel.prev_instrs {
-                        let end_cycle = end.max(core.tel.last_cycle + 1);
-                        #[expect(
-                            clippy::cast_possible_truncation,
-                            reason = "core ids are below the core count, a handful"
-                        )]
-                        let interval = core.tel.build(
-                            cid as u32,
-                            end_cycle,
-                            measured,
-                            self.engine.mems[cid].collect_core_stats(),
-                            self.engine.mems[cid].telemetry_counters(),
-                            core.rob.stalls,
-                        );
-                        self.engine.tel.interval(&interval);
-                    }
-                }
-            }
-
             // Once the last core crosses warmup, reset the shared backend so
             // LLC/DRAM counters cover only the measured region.
-            if crossed_warmup && self.cores.iter().all(|c| c.measuring) {
+            if crossed_warmup && self.cores.iter().all(|c| c.replay.measuring) {
                 self.engine.backend.reset_stats();
             }
         }
@@ -287,47 +215,53 @@ impl<C: CoreMemory> MulticoreRun<C> {
     /// describe the whole machine, so every core reports the same backend
     /// numbers).
     pub fn finish(self) -> Vec<SimResult> {
+        let backend = &self.engine.backend;
         self.cores
             .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let mut stats = self.engine.mems[i].collect_core_stats();
-                stats.llc = *self.engine.backend.llc.stats();
-                stats.dram = self.engine.backend.dram.stats;
-                SimResult { instructions: c.result_instrs, cycles: c.result_cycles, stats }
+            .zip(&self.engine.mems)
+            .map(|(c, mem)| {
+                let mut stats = mem.collect_core_stats();
+                stats.llc = *backend.llc.stats();
+                stats.dram = backend.dram.stats;
+                let (instructions, cycles) = c.result.unwrap_or_default();
+                SimResult { instructions, cycles, stats }
             })
             .collect()
     }
 
-    /// Serialize the full machine: every core's replay cursor + ROB +
-    /// private memory side, then the shared backend. Telemetry interval
-    /// state is deliberately not stored (pure observer; intervals emitted
-    /// after a restore cover only post-restore execution).
-    pub fn save_state(&self, w: &mut simstate::StateSink) {
+    /// Serialize the full machine for an `SSTATEv2` container: every
+    /// core's replay cursor + ROB + private memory side, then the shared
+    /// backend. Telemetry interval state is deliberately not stored (pure
+    /// observer; intervals emitted after a restore cover only post-restore
+    /// execution).
+    pub fn snapshot(&self) -> Vec<u8> {
+        let mut w = simstate::StateSink::new();
         w.tag(b"MC__");
         w.put_usize(self.cores.len());
-        for (i, c) in self.cores.iter().enumerate() {
-            c.rob.save_state(w);
-            w.put_u64(c.instrs);
+        for ((c, mem), &offset) in self.cores.iter().zip(&self.engine.mems).zip(&self.offsets) {
+            c.replay.rob.save_state(&mut w);
+            w.put_u64(c.replay.instrs);
             w.put_usize(c.event_idx);
             w.put_u64(c.consumed);
-            w.put_bool(c.measuring);
-            w.put_u64(c.measure_start_cycle);
-            w.put_bool(c.finished);
-            w.put_u64(c.result_cycles);
-            w.put_u64(c.result_instrs);
-            w.put_u64(self.offsets[i]);
-            self.engine.mems[i].save_state(w);
+            w.put_bool(c.replay.measuring);
+            w.put_u64(c.replay.measure_start_cycle);
+            let (instrs, cycles) = c.result.unwrap_or_default();
+            w.put_bool(c.result.is_some());
+            w.put_u64(cycles);
+            w.put_u64(instrs);
+            w.put_u64(offset);
+            mem.save_state(&mut w);
         }
-        self.engine.backend.save_state(w);
+        self.engine.backend.save_state(&mut w);
+        w.into_bytes()
     }
 
-    /// Restore state saved by [`Self::save_state`] into a run started with
-    /// the same configuration, core count, and window.
-    pub fn load_state(
-        &mut self,
-        r: &mut simstate::StateSource,
-    ) -> Result<(), simstate::StateError> {
+    /// Restore a [`Self::snapshot`] payload, which must be fully consumed,
+    /// into a run started with the same configuration, core count, and
+    /// window. Each core's interval baseline is re-anchored to the
+    /// restored state.
+    pub fn restore(&mut self, payload: &[u8]) -> Result<(), simstate::StateError> {
+        let mut r = simstate::StateSource::new(payload);
         r.expect_tag(b"MC__")?;
         let n = r.get_usize()?;
         if n != self.cores.len() {
@@ -338,56 +272,34 @@ impl<C: CoreMemory> MulticoreRun<C> {
             });
         }
         for (i, c) in self.cores.iter_mut().enumerate() {
-            c.rob.load_state(r)?;
-            c.instrs = r.get_u64()?;
+            c.replay.rob.load_state(&mut r)?;
+            c.replay.instrs = r.get_u64()?;
             c.event_idx = r.get_usize()?;
             c.consumed = r.get_u64()?;
-            c.measuring = r.get_bool()?;
-            c.measure_start_cycle = r.get_u64()?;
-            c.finished = r.get_bool()?;
-            c.result_cycles = r.get_u64()?;
-            c.result_instrs = r.get_u64()?;
-            let offset = r.get_u64()?;
-            if let Some(slot) = self.offsets.get_mut(i) {
-                *slot = offset;
-            }
-            c.tel = TelSnap::default();
-            self.engine.mems[i].load_state(r)?;
+            c.replay.measuring = r.get_bool()?;
+            c.replay.measure_start_cycle = r.get_u64()?;
+            let finished = r.get_bool()?;
+            let (cycles, instrs) = (r.get_u64()?, r.get_u64()?);
+            c.result = finished.then_some((instrs, cycles));
+            self.offsets[i] = r.get_u64()?;
+            let mut mem = self.engine.view(i, self.offsets[i]);
+            mem.load_state(&mut r)?;
+            c.replay.arm_telemetry(&mem);
         }
-        self.engine.backend.load_state(r)
-    }
-
-    /// One-call snapshot state for an `SSTATEv2` container.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = simstate::StateSink::new();
-        self.save_state(&mut w);
-        w.into_bytes()
-    }
-
-    /// Restore from a payload produced by [`Self::snapshot`], requiring the
-    /// payload to be fully consumed.
-    pub fn restore(&mut self, payload: &[u8]) -> Result<(), simstate::StateError> {
-        let mut r = simstate::StateSource::new(payload);
-        self.load_state(&mut r)?;
+        self.engine.backend.load_state(&mut r)?;
         r.expect_end()
     }
 }
 
 /// Weighted speedup of a mix: sum over threads of
-/// `IPC_shared / IPC_single`, as defined in Section IV-D.
-pub fn weighted_ipc(shared: &[SimResult], single: &[SimResult]) -> f64 {
-    assert_eq!(shared.len(), single.len());
+/// `IPC_shared / IPC_single`, as defined in Section IV-D. `single_ipc[t]`
+/// is thread `t`'s IPC running alone; a non-positive one contributes 0.
+pub fn weighted_ipc(shared: &[SimResult], single_ipc: &[f64]) -> f64 {
+    assert_eq!(shared.len(), single_ipc.len());
     shared
         .iter()
-        .zip(single)
-        .map(|(sh, si)| {
-            let denom = si.ipc();
-            if denom <= 0.0 {
-                0.0
-            } else {
-                sh.ipc() / denom
-            }
-        })
+        .zip(single_ipc)
+        .map(|(sh, &single)| if single <= 0.0 { 0.0 } else { sh.ipc() / single })
         .sum()
 }
 
@@ -437,7 +349,7 @@ mod tests {
         let mems: Vec<CoreSide> = (0..2).map(|_| CoreSide::new(&cfg)).collect();
         let engine = MulticoreEngine::new(mems, SharedBackend::new(&cfg), Window::new(0, 6_000));
         let mut run = engine.start(&[0, 1 << 40], 4, 224);
-        while !run.cores[0].finished {
+        while run.cores[0].result.is_none() {
             assert!(run.step_span(&refs, 1));
         }
         // Every event is one instruction, so the 6 000-instruction window
@@ -445,12 +357,12 @@ mod tests {
         let frozen = run.cores[0].consumed;
         assert_eq!(frozen, 6_000);
         assert_eq!(run.cores[0].event_idx, 2_000);
-        assert!(!run.cores[1].finished);
+        assert!(run.cores[1].result.is_none());
         while run.step_span(&refs, 64) {
             assert_eq!(run.cores[0].consumed, frozen, "finished core 0 replayed an event");
         }
         assert_eq!(run.cores[0].consumed, frozen);
-        assert!(run.cores[1].finished);
+        assert!(run.cores[1].result.is_some());
     }
 
     #[test]
@@ -492,7 +404,8 @@ mod tests {
             singles.push(r.into_iter().next().unwrap());
         }
 
-        let ws = weighted_ipc(&shared, &singles);
+        let single_ipc: Vec<f64> = singles.iter().map(SimResult::ipc).collect();
+        let ws = weighted_ipc(&shared, &single_ipc);
         assert!(ws <= 4.0 + 1e-9, "weighted IPC cannot exceed core count, got {ws}");
         assert!(ws > 0.5, "weighted IPC suspiciously low: {ws}");
         for (sh, si) in shared.iter().zip(&singles) {
@@ -673,7 +586,6 @@ mod tests {
     fn weighted_ipc_of_identical_runs_is_core_count() {
         let r = SimResult { instructions: 1000, cycles: 500, ..Default::default() };
         let shared = vec![r.clone(), r.clone()];
-        let single = vec![r.clone(), r.clone()];
-        assert!((weighted_ipc(&shared, &single) - 2.0).abs() < 1e-12);
+        assert!((weighted_ipc(&shared, &[r.ipc(), r.ipc()]) - 2.0).abs() < 1e-12);
     }
 }

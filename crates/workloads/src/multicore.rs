@@ -80,18 +80,7 @@ impl<'r> MulticoreRunner<'r> {
     /// (Section IV-D). Figures normalize this to the Baseline design's.
     pub fn weighted_ipc(&self, mix: &Mix, kind: SystemKind) -> f64 {
         let shared = self.run_mix(mix, kind);
-        let singles: Vec<SimResult> = mix
-            .iter()
-            .map(|&w| {
-                let ipc = self.single_ipc(w, kind);
-                // Wrap into a SimResult so the shared helper applies.
-                SimResult {
-                    instructions: (ipc * 1e6) as u64,
-                    cycles: 1_000_000,
-                    ..Default::default()
-                }
-            })
-            .collect();
+        let singles: Vec<f64> = mix.iter().map(|&w| self.single_ipc(w, kind)).collect();
         weighted_ipc(&shared, &singles)
     }
 

@@ -53,8 +53,6 @@ pub struct Runner {
     graphs: Cells<GraphInput, Arc<KernelInput>>,
     traces: Cells<Workload, CachedTrace>,
     regular_traces: Cells<RegularKind, Arc<CompactTrace>>,
-    /// Keep recorded traces cached across calls (memory permitting).
-    pub cache_traces: bool,
     builds: BuildCount,
 }
 
@@ -80,7 +78,6 @@ impl Runner {
             graphs: Mutex::new(BTreeMap::new()),
             traces: Mutex::new(BTreeMap::new()),
             regular_traces: Mutex::new(BTreeMap::new()),
-            cache_traces: true,
             builds: Default::default(),
         }
     }
@@ -163,18 +160,13 @@ impl Runner {
     }
 
     fn cached_trace(&self, w: Workload) -> CachedTrace {
-        let record = || {
+        single_flight(&self.traces, w, || {
             self.builds.bump();
             let input = self.input(w.graph);
             let mut rec = RecordingTracer::with_skip(self.skip, self.window.total());
             run_kernel_windowed(w.kernel, &input, 0, &mut rec);
             CachedTrace { trace: Arc::new(rec.finish()), checksum: Arc::default() }
-        };
-        if self.cache_traces {
-            single_flight(&self.traces, w, record)
-        } else {
-            record()
-        }
+        })
     }
 
     /// Drop a cached trace (the sweep harnesses bound their memory by
@@ -269,17 +261,12 @@ impl Runner {
     /// [`Runner::trace`] — the threshold sweep replays each of these
     /// against many tau values and used to re-record per replay.
     pub fn regular_trace(&self, kind: RegularKind) -> Arc<CompactTrace> {
-        let record = || {
+        single_flight(&self.regular_traces, kind, || {
             self.builds.bump();
             let mut rec = RecordingTracer::new(self.window.total());
             run_regular(kind, 0, &mut rec);
             Arc::new(rec.finish())
-        };
-        if self.cache_traces {
-            single_flight(&self.regular_traces, kind, record)
-        } else {
-            record()
-        }
+        })
     }
 
     /// Drop a cached regular-suite trace.

@@ -6,8 +6,8 @@
 
 use gpgraph::{GraphInput, SuiteScale};
 use gpkernels::Kernel;
-use gpworkloads::{validate_json, Runner, SystemKind, Workload};
-use simcore::Window;
+use gpworkloads::{build_multicore, validate_json, Runner, SystemKind, Workload};
+use simcore::{CompactTrace, MulticoreEngine, SystemConfig, Window};
 
 fn tiny_runner() -> Runner {
     Runner::new(SuiteScale::Tiny, Window::new(20_000, 120_000))
@@ -99,4 +99,45 @@ fn telemetry_timeline_renders_for_bfs_on_sdclp() {
     assert!(ascii.contains('#'), "bars must render");
     let csv = simtel::render::csv_timeline(&out.intervals);
     assert_eq!(csv.lines().count(), out.intervals.len() + 1, "header + rows");
+}
+
+/// FNV-1a of both exports, the JSONL intervals then the Chrome trace.
+fn export_hash(out: &simtel::TelemetryOutput) -> u64 {
+    let mut h = simstate::Fnv1a::new();
+    h.update(simtel::export::intervals_jsonl(&out.intervals).as_bytes());
+    h.update(simtel::export::chrome_trace(out).as_bytes());
+    h.finish()
+}
+
+/// Pins the exact telemetry of one single-core and one 4-core run: the
+/// interval cadence, the warmup boundary, the tail flush and event order
+/// all show up in these bytes, which the end-of-window results alone do
+/// not cover.
+#[test]
+fn telemetry_exports_are_pinned() {
+    let runner = tiny_runner();
+    let cfg = simtel::TelemetryConfig { interval_instructions: 10_000, ..Default::default() };
+    let w = Workload::new(Kernel::Cc, GraphInput::Urand);
+    let (_, out) = runner.run_one_with_telemetry(w, SystemKind::SdcLp, &cfg);
+    assert_eq!(export_hash(&out), 0x20ca2feb173ec908, "single-core telemetry export moved");
+
+    let mix = [
+        Workload::new(Kernel::Bfs, GraphInput::Kron),
+        Workload::new(Kernel::Cc, GraphInput::Urand),
+        Workload::new(Kernel::Pr, GraphInput::Web),
+        Workload::new(Kernel::Cc, GraphInput::Urand),
+    ];
+    let traces: Vec<_> = mix.iter().map(|&w| runner.trace(w)).collect();
+    let refs: Vec<&CompactTrace> = traces.iter().map(|t| t.as_ref()).collect();
+    let offsets: Vec<u64> = (0..4u64).map(|c| c << 40).collect();
+    let kernels: Vec<_> = mix.iter().map(|w| w.kernel).collect();
+    let (cores, backend) = build_multicore(SystemKind::SdcLp, &kernels, 4, &runner.sdclp);
+    let mut engine = MulticoreEngine::new(cores, backend, runner.window);
+    let tel = simtel::TelemetryHandle::collector(&cfg);
+    engine.attach_telemetry(tel.clone());
+    let core = SystemConfig::baseline(1).core;
+    engine.run_with_offsets(&refs, &offsets, core.width, core.rob_entries);
+    let out = tel.take_output().unwrap_or_default();
+    assert!(out.intervals.iter().any(|iv| iv.core == 3), "every core emits intervals");
+    assert_eq!(export_hash(&out), 0x90b811529c3b30f4, "4-core telemetry export moved");
 }

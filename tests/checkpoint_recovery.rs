@@ -118,6 +118,46 @@ fn restore_then_run_is_bit_identical_for_four_core_machines() {
     }
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = simstate::Fnv1a::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// The `ENG_` and `MC__` state layouts carry no version of their own, so a
+/// checkpoint already on disk restores correctly only while every field
+/// keeps its place. These hashes pin the exact bytes of one
+/// mid-measurement snapshot of each engine on SDC+LP. A deliberate layout
+/// change must bump the `SSTATE` container version, then re-pin here.
+#[test]
+fn engine_and_multicore_snapshot_layouts_are_pinned() {
+    let runner = tiny_runner();
+    let w = Workload::new(gpkernels::Kernel::Pr, gpgraph::GraphInput::Kron);
+    let trace = runner.trace(w);
+    let core = SystemConfig::baseline(1).core;
+    let sys = build_system(SystemKind::SdcLp, w.kernel, &runner.sdclp);
+    let mut engine = Engine::new(sys, core.width, core.rob_entries, runner.window);
+    engine.replay_span(&trace, 0, trace.events.len() / 2);
+    assert!(engine.instructions() > runner.window.warmup, "snapshot must be mid-measurement");
+    assert_eq!(fnv1a(&engine.snapshot()), 0x36ef283207fba882, "ENG_ snapshot bytes moved");
+
+    let runner = Runner::new(gpgraph::SuiteScale::Tiny, Window::new(5_000, 20_000));
+    let w = Workload::new(gpkernels::Kernel::Cc, gpgraph::GraphInput::Urand);
+    let trace = runner.trace(w);
+    let offsets: Vec<u64> = (0..4u64).map(|c| c << 30).collect();
+    let (cores, backend) = build_multicore(SystemKind::SdcLp, &[w.kernel; 4], 4, &runner.sdclp);
+    let mut run = MulticoreEngine::new(cores, backend, runner.window).start(
+        &offsets,
+        core.width,
+        core.rob_entries,
+    );
+    // Each core runs one pass over its trace; two passes' worth of steps
+    // over four cores leaves every core about halfway through.
+    let traces: Vec<&CompactTrace> = vec![&trace; 4];
+    assert!(run.step_span(&traces, 2 * trace.events.len() as u64), "must be mid-run");
+    assert_eq!(fnv1a(&run.snapshot()), 0xefee5f69d7c13f8e, "MC__ snapshot bytes moved");
+}
+
 /// A baseline hierarchy that counts every access and optionally panics at
 /// the N-th one — the deterministic stand-in for a process killed
 /// mid-measurement. The counter is an observer, not machine state, so

@@ -31,8 +31,7 @@ fn graph_checksum(g: &Csr) -> u64 {
 }
 
 fn report() -> String {
-    let mut runner = Runner::quick();
-    runner.cache_traces = false;
+    let runner = Runner::quick();
     let mut out = String::new();
     for graph in GraphInput::ALL {
         let input = runner.input(graph);
@@ -40,6 +39,7 @@ fn report() -> String {
         for kernel in [Kernel::Pr, Kernel::Cc, Kernel::Bfs] {
             let w = Workload::new(kernel, graph);
             out.push_str(&format!("trace/{w}: {:016x}\n", trace_checksum(&runner.trace(w))));
+            runner.evict_trace(w);
         }
         runner.evict_graph(graph);
     }
