@@ -88,6 +88,10 @@ impl LargePredictor {
     }
 
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "only the low bits survive the power-of-two set mask"
+    )]
     fn set_of(&self, pc: u64) -> usize {
         (pc & (self.sets as u64 - 1)) as usize
     }

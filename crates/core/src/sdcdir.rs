@@ -52,6 +52,10 @@ impl SdcDir {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "block % sets is below sets, itself a usize"
+    )]
     fn set_of(&self, block: u64) -> usize {
         (block % self.sets as u64) as usize
     }

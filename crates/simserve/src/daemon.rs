@@ -194,8 +194,8 @@ impl Shared {
     /// scheduler goes idle — under the scheduler lock, so a reap can
     /// never race a starting shard's live `mid|` snapshots.
     fn reap_stale_locked(&self) {
-        if let Some(dir) = &self.cfg.state_dir {
-            match simstate::CheckpointStore::new(dir).sweep_stale() {
+        if let Some(store) = &self.store {
+            match store.sweep_stale() {
                 Ok(0) => {}
                 Ok(n) => {
                     self.stale_reaped.fetch_add(n as u64, Ordering::Relaxed);
@@ -206,18 +206,15 @@ impl Shared {
         }
     }
 
-    /// Count persisted post-warmup forks in the state directory.
-    fn warm_fork_count(&self) -> u64 {
-        let Some(dir) = &self.cfg.state_dir else { return 0 };
-        let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
-        entries
-            .flatten()
-            .filter(|e| {
-                let name = e.file_name();
-                let name = name.to_string_lossy();
-                name.starts_with("warm_") && name.ends_with(".sstate")
-            })
-            .count() as u64
+    /// Wait for the store's queued checkpoint writes to reach the disk.
+    /// Never called under the scheduler lock: workers keep dispatching
+    /// while the writer catches up.
+    fn flush_store(&self) {
+        if let Some(store) = &self.store {
+            if let Err(e) = store.flush() {
+                self.log(&format!("could not write checkpoint {e}"));
+            }
+        }
     }
 }
 
@@ -262,7 +259,8 @@ impl Daemon {
             std::thread::available_parallelism().map_or(2, |n| n.get())
         };
         let shared = Arc::new(Shared {
-            workers: workers as u32,
+            // A report field: a count past u32::MAX saturates.
+            workers: u32::try_from(workers).unwrap_or(u32::MAX),
             store: cfg.state_dir.as_ref().map(simstate::CheckpointStore::new),
             runners: RunnerPool::new(),
             results: Arc::new(ResultCache::new()),
@@ -385,7 +383,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: UnixStream) {
 fn status_msg(shared: &Shared) -> StatusMsg {
     let s = lock_sched(shared);
     StatusMsg {
-        active_sweeps: s.sweeps.len() as u32,
+        active_sweeps: u32::try_from(s.sweeps.len()).unwrap_or(u32::MAX),
         queued_points: s.queued_points,
         running_shards: s.running_shards,
         completed_sweeps: s.completed_sweeps,
@@ -405,7 +403,7 @@ fn cache_stats_msg(shared: &Shared) -> CacheStatsMsg {
         traces_cached: traces as u64,
         graphs_cached: graphs as u64,
         runners: runners as u64,
-        warm_forks: shared.warm_fork_count(),
+        warm_forks: shared.store.as_ref().map_or(0, |st| st.warm_forks() as u64),
         stale_reaped: shared.stale_reaped.load(Ordering::Relaxed),
     }
 }
@@ -441,15 +439,17 @@ fn handle_submit(
             return send_response(stream, &Response::Error { code: ErrorCode::BadRequest, detail })
         }
     };
-    if resolved.len() > shared.cfg.queue_limit {
-        let detail = format!(
-            "{} points exceed the per-submission bound of {}",
-            resolved.len(),
-            shared.cfg.queue_limit
-        );
-        return send_response(stream, &Response::Error { code: ErrorCode::QueueFull, detail });
-    }
-    let total = resolved.len() as u32;
+    let total = match u32::try_from(resolved.len()) {
+        Ok(total) if resolved.len() <= shared.cfg.queue_limit => total,
+        _ => {
+            let detail = format!(
+                "{} points exceed the per-submission bound of {}",
+                resolved.len(),
+                shared.cfg.queue_limit
+            );
+            return send_response(stream, &Response::Error { code: ErrorCode::QueueFull, detail });
+        }
+    };
     let shards = shard_points(resolved);
     let (tx, rx) = mpsc::channel();
 
@@ -525,7 +525,8 @@ fn resolve_submission(
     let scale = find_scale(&spec.scale)?;
     let mut resolved = Vec::with_capacity(spec.points.len());
     for (i, p) in spec.points.iter().enumerate() {
-        let index = i as u32;
+        let index = u32::try_from(i)
+            .map_err(|_| format!("a submission holds at most {} points", proto::MAX_POINTS))?;
         let workload = find_workload(&p.workload)?;
         let system = resolve_system(shared, p)?;
         resolved.push(ResolvedPoint { index, workload, system });
@@ -601,6 +602,9 @@ fn handle_shutdown(shared: &Arc<Shared>, stream: &mut UnixStream) -> Result<(), 
         }
         s.drained_points
     };
+    // Idle means the last shard flushed, but a shard that finished while
+    // it did may have queued more: land it before the process can exit.
+    shared.flush_store();
     // Reply while the process is still guaranteed alive: once `stopped`
     // flips, the accept loop (and with it the whole daemon) may exit
     // before a late write finishes, truncating the client's frame.
@@ -655,6 +659,13 @@ fn worker_loop(shared: &Arc<Shared>) {
             finish_point(shared, sweep, rec, class);
         }
         let mut s = lock_sched(shared);
+        if s.sweeps.is_empty() && s.running_shards == 1 {
+            // The last shard out: its checkpoint writes land before the
+            // scheduler reads as idle (and reaps), without the lock.
+            drop(s);
+            shared.flush_store();
+            s = lock_sched(shared);
+        }
         s.running_shards -= 1;
         maybe_idle(shared, &mut s);
     }

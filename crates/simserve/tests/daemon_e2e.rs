@@ -303,3 +303,54 @@ fn stale_socket_files_are_replaced_but_live_daemons_are_not() {
     handle.join();
     assert!(!socket.exists(), "socket file removed on clean exit");
 }
+
+/// Write-behind end state: once a snapshotting sweep is done and the
+/// daemon idle, the store's writer has removed every mid-measurement
+/// snapshot itself — the idle reap finds nothing — and only the warm
+/// forks remain.
+#[test]
+fn idle_daemon_keeps_only_warm_forks_after_a_snapshotting_sweep() {
+    let dir = tmp_dir("write-behind");
+    let state = dir.join("state");
+    let cfg = DaemonConfig {
+        socket: dir.join("simserved.sock"),
+        workers: 2,
+        state_dir: Some(state.clone()),
+        warmup_fork: true,
+        snapshot_every: 500,
+        watchdog: Watchdog::Off,
+        ..DaemonConfig::default()
+    };
+    let handle = Daemon::start(cfg).expect("daemon starts");
+    let client = Client::new(handle.socket());
+    let points = vec![
+        point("bfs.kron", "baseline"),
+        point("bfs.kron", "sdc_lp"),
+        point("pr.urand", "baseline"),
+        point("pr.urand", "sdc_lp"),
+    ];
+    let n = points.len();
+    let (_, summary) =
+        client.submit(submit(points)).expect("submit").collect_records().expect("stream");
+    assert_eq!(summary.ok as usize, n);
+
+    // `SweepDone` streams before the last worker leaves its shard.
+    while {
+        let st = client.status().expect("status");
+        st.active_sweeps > 0 || st.running_shards > 0
+    } {
+        std::thread::yield_now();
+    }
+    let stats = client.cache_stats().expect("stats");
+    assert_eq!(stats.stale_reaped, 0, "the writer, not the reaper, removed the mid snapshots");
+    assert_eq!(stats.warm_forks, n as u64);
+    let names: Vec<String> = std::fs::read_dir(&state)
+        .expect("state dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names.len(), n, "one fork per point and nothing else: {names:?}");
+    assert!(names.iter().all(|n| n.starts_with("warm_") && n.ends_with(".sstate")), "{names:?}");
+
+    client.shutdown().expect("shutdown");
+    handle.join();
+}

@@ -7,7 +7,11 @@
 //! The snapshot subsystem behind crash-consistent sweeps and warmup
 //! forking: a versioned binary container (`SSTATEv2`), a small byte codec
 //! the simulator components serialize themselves through, and a
-//! file-backed [`store::CheckpointStore`] with atomic tmp+rename writes.
+//! file-backed [`store::CheckpointStore`] with atomic tmp+fsync+rename
+//! writes. The store writes behind: one background thread per store runs
+//! a coalescing queue of saves and removes, `load` reads the queue before
+//! the disk, and `flush` (or dropping the last handle) waits for it to
+//! land, so a simulation never waits on the disk.
 //! [`frame`] is the checksummed frame snapshots, simserve wire messages
 //! (`SRV2`) and the graph cache (`GPCSRv2`) share.
 //!
@@ -24,7 +28,9 @@
 //!    in DESIGN.md §9.
 //! 3. **Deterministic I/O handling.** Transient write failures retry
 //!    through [`retry_io`] — a bounded attempt ladder with no wall-clock
-//!    backoff, so the simulator stack stays free of host-time reads.
+//!    backoff, so the simulator stack stays free of host-time reads. The
+//!    store's writer thread waits on condvars only, and what `load`
+//!    returns never depends on how far it has got.
 
 pub mod codec;
 pub mod container;

@@ -8,6 +8,10 @@ use std::fmt::Write as _;
 const BAR_WIDTH: usize = 40;
 
 /// A proportional bar of `value` against `max`, `BAR_WIDTH` cells wide.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a float-to-int cast saturates, and the clamp bounds the cell count"
+)]
 fn bar(value: f64, max: f64) -> String {
     if max <= 0.0 || value <= 0.0 {
         return String::new();

@@ -40,7 +40,8 @@
 //!   hash) so later runs of the same point fork past warmup, and
 //!   [`MatrixOptions::snapshot_every`] drops periodic mid-measurement
 //!   snapshots so a killed process resumes a point from its last snapshot
-//!   instead of from scratch. Snapshots are `SSTATEv2` containers
+//!   that reached the disk (the store writes behind; a sweep flushes it
+//!   before returning) instead of from scratch. Snapshots are `SSTATEv2` containers
 //!   (checksummed, identity-validated); a corrupt or stale one is warned
 //!   about, discarded, and regenerated — restores are bit-identical, so
 //!   checkpointed runs produce byte-identical manifests.
@@ -459,8 +460,8 @@ pub struct MatrixOptions {
     pub warmup_fork: bool,
     /// Take a crash-recovery snapshot every N trace events during
     /// measurement (0 disables). A killed run's next invocation resumes
-    /// each interrupted point from its last snapshot. Requires
-    /// `state_dir`.
+    /// each interrupted point from its last snapshot that reached the
+    /// disk. Requires `state_dir`.
     pub snapshot_every: u64,
     /// Collect interval telemetry per simulated point (attached inside
     /// the point's fault domain; proven non-perturbing, so results and
@@ -588,9 +589,9 @@ impl CheckpointPlan<'_> {
         engine.timed_out() || engine.instructions() >= self.window_total
     }
 
-    /// Persist `engine`'s state under `key` (warn-and-continue on failure:
-    /// a checkpoint that cannot be written costs future savings, never
-    /// this point's result).
+    /// Queue `engine`'s state for the store under `key` (warn-and-continue
+    /// on failure, here or at the sweep's flush: a checkpoint that cannot
+    /// be written costs future savings, never this point's result).
     fn persist(&self, key: &str, engine: &PointEngine, pos: usize) {
         let snap = simstate::Snapshot {
             config_hash: self.config_hash,
@@ -598,7 +599,7 @@ impl CheckpointPlan<'_> {
             trace_pos: pos as u64,
             payload: engine.snapshot(),
         };
-        if let Err(e) = self.store.save(key, &snap) {
+        if let Err(e) = self.store.save(key, snap) {
             eprintln!(
                 "warning: could not write checkpoint {}: {e}",
                 self.store.path_for(key).display()
@@ -888,6 +889,16 @@ impl Runner {
             }
         });
 
+        // Let the store's queued writes land, so every `mid_*` snapshot a
+        // completed point removed is gone from the disk before this sweep
+        // returns or reaps. A failed write costs future savings, never a
+        // record.
+        if let Some(st) = &store {
+            if let Err(e) = st.flush() {
+                eprintln!("warning: could not write checkpoint {e}");
+            }
+        }
+
         if opts.fail_fast {
             if let Some(e) = first_failure.into_inner() {
                 // The `.partial` manifest prefix is left on disk for
@@ -918,9 +929,9 @@ impl Runner {
             wr.finish(total)?;
         }
 
-        // The sweep is complete (aborts returned above), so any `mid_*`
-        // crash snapshot still in the store is an orphan from a killed
-        // process — reap it. Warmup forks are spared; see
+        // The sweep is complete (aborts returned above) and its writes
+        // flushed, so any `mid_*` crash snapshot still in the store is an
+        // orphan from a killed process — reap it. Warmup forks are spared; see
         // `CheckpointStore::sweep_stale`. Best-effort: a failed reap
         // never fails the sweep that produced valid records.
         if opts.reap_stale {
@@ -1294,6 +1305,7 @@ mod tests {
             payload: vec![0xAA; 16],
         };
         store.save("mid|orphan|from|killed|process", &orphan).expect("plant orphan");
+        store.flush().expect("orphan on disk");
 
         let r = tiny_runner();
         let w = Workload::new(Kernel::Pr, GraphInput::Kron);
@@ -1602,12 +1614,15 @@ mod tests {
             "checkpointed manifest diverged from the pinned run"
         );
         // Fork points persisted; no recovery snapshots or tmp litter left
-        // (a completed point removes its own mid-measurement snapshot).
+        // (a completed point removes its own mid-measurement snapshot, and
+        // the sweep flushes its store's writer before returning; the reap
+        // is off).
         let names: Vec<String> = std::fs::read_dir(&state)
             .expect("state dir")
             .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(names.iter().filter(|n| n.starts_with("warm_")).count(), points.len());
+        assert_eq!(simstate::CheckpointStore::new(&state).warm_forks(), points.len());
         assert!(names.iter().all(|n| n.ends_with(".sstate")), "litter in state dir: {names:?}");
         assert!(!names.iter().any(|n| n.starts_with("mid_")), "stale snapshots: {names:?}");
 
