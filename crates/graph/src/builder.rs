@@ -2,7 +2,7 @@
 //! optional symmetrization, self-loop removal, neighbor sorting and
 //! deduplication (GAP's builder performs the same steps).
 
-use crate::csr::{Csr, VertexId};
+use crate::csr::{slot, Csr, VertexId};
 use crate::par;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -84,7 +84,7 @@ pub(crate) fn build_csr_chunked(
     par::map(slices.into_iter().zip(cursors).collect(), |(slice, mut cursor)| {
         let mut put = |row: VertexId, x: VertexId| {
             let c = &mut cursor[row as usize];
-            slots[*c as usize].store(x, Ordering::Relaxed);
+            slots[slot(*c)].store(x, Ordering::Relaxed);
             *c += 1;
         };
         for &(u, v) in slice {
@@ -116,7 +116,7 @@ pub(crate) fn build_csr_chunked(
         let lists;
         (ends, rest_ends) = std::mem::take(&mut rest_ends).split_at_mut(bounds[k + 1] - bounds[k]);
         (lists, rest_lists) =
-            std::mem::take(&mut rest_lists).split_at_mut((starts[k + 1] - starts[k]) as usize);
+            std::mem::take(&mut rest_lists).split_at_mut(slot(starts[k + 1] - starts[k]));
         jobs.push((starts[k], ends, lists));
     }
     let kept = par::map(jobs, |(base, ends, lists)| sort_dedup_rows(base, ends, lists));
@@ -124,14 +124,14 @@ pub(crate) fn build_csr_chunked(
     // 5. Compact the row ranges into one array and rebase their offsets.
     let mut len = 0u64;
     for (k, &kept) in kept.iter().enumerate() {
-        let lo = starts[k] as usize;
-        neighbors.copy_within(lo..lo + kept as usize, len as usize);
+        let lo = slot(starts[k]);
+        neighbors.copy_within(lo..lo + slot(kept), slot(len));
         for end in &mut offsets[bounds[k] + 1..=bounds[k + 1]] {
             *end += len;
         }
         len += kept;
     }
-    neighbors.truncate(len as usize);
+    neighbors.truncate(slot(len));
     neighbors.shrink_to_fit();
     Csr::from_raw(offsets, neighbors)
 }
@@ -142,7 +142,7 @@ pub(crate) fn build_csr_chunked(
 fn sort_dedup_rows(base: u64, ends: &mut [u64], lists: &mut [VertexId]) -> u64 {
     let (mut lo, mut kept) = (0, 0);
     for end in ends {
-        let hi = (*end - base) as usize;
+        let hi = slot(*end - base);
         lists[lo..hi].sort_unstable();
         let mut prev = None;
         for i in lo..hi {
@@ -191,17 +191,17 @@ mod tests {
             offsets[v + 1] = offsets[v] + degree[v];
         }
 
-        let total = offsets[num_vertices] as usize;
+        let total = slot(offsets[num_vertices]);
         let mut neighbors = vec![0 as VertexId; total];
         let mut cursor = offsets[..num_vertices].to_vec();
         for &(u, v) in edges {
             if !keep(u, v) {
                 continue;
             }
-            neighbors[cursor[u as usize] as usize] = v;
+            neighbors[slot(cursor[u as usize])] = v;
             cursor[u as usize] += 1;
             if opts.symmetrize {
-                neighbors[cursor[v as usize] as usize] = u;
+                neighbors[slot(cursor[v as usize])] = u;
                 cursor[v as usize] += 1;
             }
         }
@@ -214,8 +214,8 @@ mod tests {
         let mut out_offsets = vec![0u64; num_vertices + 1];
         let mut out_neighbors = Vec::with_capacity(total);
         for v in 0..num_vertices {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
+            let lo = slot(offsets[v]);
+            let hi = slot(offsets[v + 1]);
             let list = &mut neighbors[lo..hi];
             list.sort_unstable();
             let mut prev: Option<VertexId> = None;

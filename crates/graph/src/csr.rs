@@ -8,6 +8,27 @@
 /// Vertex identifier (the paper's property elements are 4 B; so are ours).
 pub type VertexId = u32;
 
+/// Vertex `i` as its id. Callers pass an index below a vertex count, and
+/// every graph's vertex count fits the id range ([`Csr::validate`]).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "i is below a vertex count; validate() rejects a count beyond the VertexId range"
+)]
+#[inline]
+pub(crate) fn vertex(i: usize) -> VertexId {
+    i as VertexId
+}
+
+/// An offset-array entry or edge index as a slot of the neighbour array.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "offsets count slots of an in-memory array, so they fit a usize"
+)]
+#[inline]
+pub(crate) fn slot(offset: u64) -> usize {
+    offset as usize
+}
+
 /// A CSR/CSC graph: offset array + neighbors array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
@@ -53,7 +74,9 @@ impl Csr {
         if self.offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err("offset array must be non-decreasing".into());
         }
-        let v = self.num_vertices() as VertexId;
+        let Ok(v) = VertexId::try_from(self.num_vertices()) else {
+            return Err(format!("{} vertices exceed the VertexId range", self.num_vertices()));
+        };
         // The largest id is out of range exactly when any id is.
         if let Some(bad) = self.neighbors.iter().copied().max().filter(|&max| max >= v) {
             return Err(format!("neighbor id {bad} out of range (V = {v})"));
@@ -69,17 +92,22 @@ impl Csr {
         self.neighbors.len()
     }
 
+    /// Every vertex id, ascending.
+    pub(crate) fn vertex_ids(&self) -> std::ops::Range<VertexId> {
+        0..vertex(self.num_vertices())
+    }
+
     /// Degree of vertex `v` (out-degree for CSR, in-degree for CSC).
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
+        slot(self.offsets[v as usize + 1] - self.offsets[v as usize])
     }
 
     /// Neighbor slice of vertex `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
+        let lo = slot(self.offsets[v as usize]);
+        let hi = slot(self.offsets[v as usize + 1]);
         &self.neighbors[lo..hi]
     }
 
@@ -103,13 +131,12 @@ impl Csr {
     /// Neighbor at global edge index `i`.
     #[inline]
     pub fn neighbor_at(&self, i: u64) -> VertexId {
-        self.neighbors[i as usize]
+        self.neighbors[slot(i)]
     }
 
     /// Iterate `(source, destination)` over all edges.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        (0..self.num_vertices() as VertexId)
-            .flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, v)))
+        self.vertex_ids().flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, v)))
     }
 
     /// Average degree.
@@ -123,8 +150,7 @@ impl Csr {
     /// Are every vertex's neighbor lists sorted ascending? (Required by the
     /// triangle-counting kernel.)
     pub fn is_sorted(&self) -> bool {
-        (0..self.num_vertices() as VertexId)
-            .all(|v| self.neighbors(v).windows(2).all(|w| w[0] <= w[1]))
+        self.vertex_ids().all(|v| self.neighbors(v).windows(2).all(|w| w[0] <= w[1]))
     }
 }
 
@@ -163,7 +189,7 @@ mod tests {
         let g = fig1_graph();
         for v in 0..4 {
             let (lo, hi) = g.edge_range(v);
-            assert_eq!((hi - lo) as usize, g.degree(v));
+            assert_eq!(hi - lo, g.degree(v) as u64);
             for i in lo..hi {
                 assert!(g.neighbors(v).contains(&g.neighbor_at(i)));
             }

@@ -31,7 +31,7 @@ impl DegreeStats {
                 histogram: vec![],
             };
         }
-        let mut degrees: Vec<usize> = (0..n).map(|v| g.degree(v as u32)).collect();
+        let mut degrees: Vec<usize> = g.vertex_ids().map(|v| g.degree(v)).collect();
         // n > 0 was checked above; map_or keeps the empty case total anyway.
         let min = degrees.iter().min().map_or(0, |&d| d);
         let max = degrees.iter().max().map_or(0, |&d| d);

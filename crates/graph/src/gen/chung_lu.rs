@@ -10,7 +10,7 @@
 //! URL-ordering.
 
 use crate::builder::{build_csr, BuildOptions};
-use crate::csr::{Csr, VertexId};
+use crate::csr::{vertex, Csr, VertexId};
 use crate::gen::par_edges;
 use crate::par::host_chunks;
 use rand::rngs::StdRng;
@@ -48,9 +48,9 @@ impl AliasTable {
         let mut large: Vec<u32> = Vec::new();
         for (i, &p) in prob.iter().enumerate() {
             if p < 1.0 {
-                small.push(i as u32);
+                small.push(vertex(i));
             } else {
-                large.push(i as u32);
+                large.push(vertex(i));
             }
         }
         while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
@@ -86,7 +86,7 @@ impl AliasTable {
     #[inline]
     fn resolve(&self, slot: Slot) -> u32 {
         if slot.coin < self.prob[slot.i] {
-            slot.i as u32
+            vertex(slot.i)
         } else {
             self.alias[slot.i]
         }
@@ -139,10 +139,10 @@ fn edge(
     let u = resolve(AliasTable::draw_slot(n, rng));
     let v = if params.locality > 0.0 && rng.random::<f64>() < params.locality {
         // Local edge: destination near the source.
+        // (u + r - w/2) mod n, kept non-negative by adding n first.
         let w = params.locality_window.max(1);
-        let delta = rng.random_range(0..w) as i64 - (w / 2) as i64;
-        let cand = u as i64 + delta;
-        cand.rem_euclid(n as i64) as VertexId
+        let r = rng.random_range(0..w);
+        vertex((u as usize + r + n - (w / 2) % n) % n)
     } else {
         resolve(AliasTable::draw_slot(n, rng))
     };

@@ -46,6 +46,10 @@ fn kron_edges(
             rng.next_u64();
         }
     };
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u and v have `scale` bits; build_csr rejects 2^scale vertices beyond the VertexId range"
+    )]
     let draw = |rng: &mut StdRng| {
         let (mut u, mut v) = (0u64, 0u64);
         for _ in 0..scale {
@@ -122,7 +126,7 @@ mod tests {
     fn symmetric_and_valid() {
         let g = kron(8, 4, 3);
         g.validate().unwrap();
-        for u in 0..g.num_vertices() as VertexId {
+        for u in g.vertex_ids() {
             for &v in g.neighbors(u) {
                 assert!(g.neighbors(v).contains(&u), "missing reverse edge {v}->{u}");
             }

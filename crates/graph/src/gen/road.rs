@@ -39,6 +39,10 @@ pub fn road(side: usize, keep: f64, shortcuts: usize, seed: u64) -> Csr {
     assert!(side.is_power_of_two() && side <= 1 << 16, "side must be a power of two <= 65536");
     let n = side * side;
     let mut rng = StdRng::seed_from_u64(seed);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "r and c are below side <= 2^16, asserted above"
+    )]
     let id = |r: usize, c: usize| morton(r as u32, c as u32) as VertexId;
 
     let mut edges = Vec::with_capacity(2 * n);

@@ -3,7 +3,7 @@
 //! worst case for any locality-exploiting mechanism.
 
 use crate::builder::{build_csr, BuildOptions};
-use crate::csr::{Csr, VertexId};
+use crate::csr::{vertex, Csr, VertexId};
 use crate::gen::par_edges;
 use crate::par::host_chunks;
 use rand::rngs::StdRng;
@@ -25,8 +25,8 @@ fn urand_edges(
     chunks: usize,
 ) -> Vec<(VertexId, VertexId)> {
     let draw = |rng: &mut StdRng| {
-        let u = rng.random_range(0..n) as VertexId;
-        let v = rng.random_range(0..n) as VertexId;
+        let u = vertex(rng.random_range(0..n));
+        let v = vertex(rng.random_range(0..n));
         (u, v)
     };
     let skip = |rng: &mut StdRng| {
@@ -71,7 +71,7 @@ mod tests {
     fn valid_and_symmetric() {
         let g = urand(512, 4, 11);
         g.validate().unwrap();
-        for u in 0..g.num_vertices() as VertexId {
+        for u in g.vertex_ids() {
             for &v in g.neighbors(u) {
                 assert!(g.neighbors(v).contains(&u));
             }

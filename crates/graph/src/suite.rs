@@ -56,7 +56,7 @@ impl std::fmt::Display for GraphInput {
 }
 
 /// How large to build the suite graphs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SuiteScale {
     /// ~4 K vertices: unit tests.
     Tiny,

@@ -4,7 +4,7 @@
 //! the T-OPT replacement baseline derives its next-reference oracle from
 //! the transpose — exactly what this module provides.
 
-use crate::csr::{Csr, VertexId};
+use crate::csr::{slot, Csr, VertexId};
 
 /// Transpose `g`: the result's neighbor lists are the incoming neighbors
 /// of each vertex, sorted ascending.
@@ -21,9 +21,9 @@ pub fn transpose(g: &Csr) -> Csr {
     let mut neighbors = vec![0 as VertexId; g.num_edges()];
     let mut cursor = offsets[..n].to_vec();
     // Iterating sources in ascending order yields sorted incoming lists.
-    for u in 0..n as VertexId {
+    for u in g.vertex_ids() {
         for &v in g.neighbors(u) {
-            neighbors[cursor[v as usize] as usize] = u;
+            neighbors[slot(cursor[v as usize])] = u;
             cursor[v as usize] += 1;
         }
     }

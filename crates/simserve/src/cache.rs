@@ -30,9 +30,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 
-/// One process-wide [`Runner`] per (scale, window, skip) class. Every
-/// submission in the same class shares graphs and traces; distinct
-/// classes must not share (their traces differ), so each gets its own.
+/// One [`Runner`] per (scale, window, skip) class. Every submission in
+/// the same class shares one runner. Classes share graphs at one scale,
+/// and traces whose skip and window total match, through the runners'
+/// process-wide cache.
 #[derive(Default)]
 pub struct RunnerPool {
     runners: Mutex<BTreeMap<String, Arc<Runner>>>,
@@ -59,15 +60,11 @@ impl RunnerPool {
         runner
     }
 
-    /// (runner classes, cached traces, cached graphs) across the pool.
+    /// (runner classes, cached traces, cached graphs) across the pool. A
+    /// graph or trace that several classes share counts once.
     pub fn stats(&self) -> (usize, usize, usize) {
         let guard = self.runners.lock();
-        let mut traces = 0;
-        let mut graphs = 0;
-        for r in guard.values() {
-            traces += r.cached_trace_count();
-            graphs += r.cached_graph_count();
-        }
+        let (traces, graphs) = gpworkloads::runner::resident_counts(guard.values().map(|r| &**r));
         (guard.len(), traces, graphs)
     }
 }

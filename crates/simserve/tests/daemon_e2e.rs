@@ -218,6 +218,26 @@ fn sequential_clients_share_the_warm_result_cache() {
     handle.join();
 }
 
+/// Runner classes share what they can: a second window class reuses the
+/// first class's graph (it builds none) and records its own trace.
+#[test]
+fn two_window_classes_share_one_graph_and_count_it_once() {
+    let (handle, client) = start_daemon("classes", 1, false);
+    for measure in [MEASURE, 2 * MEASURE] {
+        let spec = SubmitSpec { measure, ..submit(vec![point("pr.web", "baseline")]) };
+        let (recs, _) = client.submit(spec).expect("submit").collect_records().expect("stream");
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].status, "ok");
+    }
+    let stats = client.cache_stats().expect("stats");
+    assert_eq!(stats.runners, 2, "two window classes");
+    assert_eq!(stats.graphs_cached, 1, "the second class built no graph");
+    assert_eq!(stats.traces_cached, 2, "the window totals differ, so the recordings do");
+
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
 #[test]
 fn bad_submissions_get_typed_rejections_and_leave_the_daemon_healthy() {
     let (handle, client) = start_daemon("reject", 1, false);

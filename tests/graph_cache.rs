@@ -12,8 +12,9 @@ use gpworkloads::Runner;
 use simcore::Window;
 use std::path::PathBuf;
 
-/// Load Tiny kron through a new runner (so nothing is memoized in memory)
-/// and check it against a fresh build.
+/// Load Tiny kron through a new runner and check it against a fresh build.
+/// The previous runner is dropped, so no runner in this binary holds the
+/// graph in memory and this one reads the cache file.
 fn cached_kron(fresh: &gpgraph::Csr) {
     let runner = Runner::new(SuiteScale::Tiny, Window::new(1_000, 1_000));
     let got = runner.input(GraphInput::Kron);
