@@ -2,7 +2,8 @@
 //! optional symmetrization, self-loop removal, neighbor sorting and
 //! deduplication (GAP's builder performs the same steps).
 
-use crate::csr::{slot, Csr, VertexId};
+use crate::csr::{slot, widths, Csr, VertexId};
+use crate::packed::PackedArray;
 use crate::par;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -24,9 +25,11 @@ impl Default for BuildOptions {
 }
 
 /// Build a CSR from an edge list over `num_vertices` vertices, on up to
-/// four host threads. The result is identical for every thread count.
-pub fn build_csr(num_vertices: usize, edges: &[(VertexId, VertexId)], opts: BuildOptions) -> Csr {
-    build_csr_chunked(num_vertices, edges, opts, par::host_chunks(edges.len()))
+/// four host threads. The result is identical for every thread count. The
+/// edge list is taken by value and freed once its entries are placed.
+pub fn build_csr(num_vertices: usize, edges: Vec<(VertexId, VertexId)>, opts: BuildOptions) -> Csr {
+    let chunks = par::host_chunks(edges.len());
+    build_csr_chunked(num_vertices, edges, opts, chunks)
 }
 
 /// [`build_csr`] over `chunks` threads; `1` is the sequential build.
@@ -34,13 +37,14 @@ pub fn build_csr(num_vertices: usize, edges: &[(VertexId, VertexId)], opts: Buil
 /// The edge list is cut into `chunks` slices. Each slice counts its
 /// endpoints, then scatters them into its own slots of every row, placed
 /// after the previous slice's slots, so a row lists its entries in
-/// edge-list order whatever the chunk count. Sorting and deduplication then
-/// run in place over edge-balanced row ranges; a sorted, deduplicated row is
-/// canonical, and one `copy_within` pass closes the gaps the dropped
-/// duplicates leave.
+/// edge-list order whatever the chunk count. The edge list is dropped
+/// there. Sorting and deduplication then run in place over edge-balanced
+/// row ranges; a sorted, deduplicated row is canonical. One parallel pass
+/// closes the gaps the dropped duplicates leave while it packs the kept
+/// entries at the neighbour array's width.
 pub(crate) fn build_csr_chunked(
     num_vertices: usize,
-    edges: &[(VertexId, VertexId)],
+    edges: Vec<(VertexId, VertexId)>,
     opts: BuildOptions,
     chunks: usize,
 ) -> Csr {
@@ -96,44 +100,80 @@ pub(crate) fn build_csr_chunked(
             }
         }
     });
+    drop(edges);
     let mut neighbors: Vec<VertexId> = slots.into_iter().map(AtomicU32::into_inner).collect();
 
-    if !opts.sort_and_dedup {
-        return Csr::from_raw(offsets, neighbors);
-    }
-
     // 4. Sort and dedup every row in place. Row range k starts at the first
-    // row whose entries begin at or past k/chunks of the total.
-    let mut bounds: Vec<usize> = (0..chunks as u64)
-        .map(|k| offsets.partition_point(|&o| o < total * k / chunks as u64))
-        .collect();
-    bounds.push(num_vertices);
-    let starts: Vec<u64> = bounds.iter().map(|&b| offsets[b]).collect();
-    let mut jobs = Vec::with_capacity(chunks);
-    let (mut rest_ends, mut rest_lists) = (&mut offsets[1..], &mut neighbors[..]);
-    for k in 0..chunks {
-        let ends;
-        let lists;
-        (ends, rest_ends) = std::mem::take(&mut rest_ends).split_at_mut(bounds[k + 1] - bounds[k]);
-        (lists, rest_lists) =
-            std::mem::take(&mut rest_lists).split_at_mut(slot(starts[k + 1] - starts[k]));
-        jobs.push((starts[k], ends, lists));
-    }
-    let kept = par::map(jobs, |(base, ends, lists)| sort_dedup_rows(base, ends, lists));
-
-    // 5. Compact the row ranges into one array and rebase their offsets.
-    let mut len = 0u64;
-    for (k, &kept) in kept.iter().enumerate() {
-        let lo = slot(starts[k]);
-        neighbors.copy_within(lo..lo + slot(kept), slot(len));
-        for end in &mut offsets[bounds[k] + 1..=bounds[k + 1]] {
-            *end += len;
+    // row whose entries begin at or past k/chunks of the total. `runs` lists
+    // each range's kept entries as (first slot, count), in row order.
+    let runs: Vec<(u64, u64)> = if opts.sort_and_dedup {
+        let mut bounds: Vec<usize> = (0..chunks as u64)
+            .map(|k| offsets.partition_point(|&o| o < total * k / chunks as u64))
+            .collect();
+        bounds.push(num_vertices);
+        let starts: Vec<u64> = bounds.iter().map(|&b| offsets[b]).collect();
+        let mut jobs = Vec::with_capacity(chunks);
+        let (mut rest_ends, mut rest_lists) = (&mut offsets[1..], &mut neighbors[..]);
+        for k in 0..chunks {
+            let ends;
+            let lists;
+            (ends, rest_ends) =
+                std::mem::take(&mut rest_ends).split_at_mut(bounds[k + 1] - bounds[k]);
+            (lists, rest_lists) =
+                std::mem::take(&mut rest_lists).split_at_mut(slot(starts[k + 1] - starts[k]));
+            jobs.push((starts[k], ends, lists));
         }
-        len += kept;
-    }
-    neighbors.truncate(slot(len));
-    neighbors.shrink_to_fit();
-    Csr::from_raw(offsets, neighbors)
+        let kept = par::map(jobs, |(base, ends, lists)| sort_dedup_rows(base, ends, lists));
+        // Rebase each range's offsets onto the entries kept before it.
+        let mut len = 0u64;
+        for (k, &kept) in kept.iter().enumerate() {
+            for end in &mut offsets[bounds[k] + 1..=bounds[k + 1]] {
+                *end += len;
+            }
+            len += kept;
+        }
+        starts.into_iter().zip(kept).collect()
+    } else {
+        vec![(0, total)]
+    };
+
+    // 5. Compact and pack.
+    let len = runs.iter().map(|&(_, kept)| kept).sum();
+    let (oa_width, na_width) = widths(num_vertices as u64, len);
+    let packed_neighbors = pack_runs(&neighbors, &runs, na_width, chunks);
+    drop(neighbors);
+    let packed_offsets = PackedArray::from_values(oa_width, offsets.into_iter());
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant — the builder's arrays are a valid CSR by construction"
+    )]
+    Csr::try_from_packed(packed_offsets, packed_neighbors)
+        .expect("the builder produced an invalid CSR")
+}
+
+/// The entries of each run `(first slot, count)` of `lists`, concatenated
+/// and packed at `width` bits by `chunks` threads. Thread k fills the
+/// output slots from about k/chunks of the total, rounded down to a
+/// multiple of 64 so that each one owns whole words.
+fn pack_runs(lists: &[VertexId], runs: &[(u64, u64)], width: u32, chunks: usize) -> PackedArray {
+    let len = slot(runs.iter().map(|&(_, kept)| kept).sum());
+    // Allocated on the calling thread, like the counts in step 1.
+    let mut packed = PackedArray::zeroed(width, len);
+    let starts: Vec<usize> = (0..chunks).map(|k| len * k / chunks / 64 * 64).collect();
+    par::map(packed.writers(&starts), |mut out| {
+        let (lo, hi) = (out.start(), out.start() + out.left());
+        let mut at = 0;
+        for &(first, kept) in runs {
+            let (first, kept) = (slot(first), slot(kept));
+            let (from, to) = (lo.max(at), hi.min(at + kept));
+            if from < to {
+                out.extend_from(&lists[first + from - at..first + to - at]);
+            }
+            at += kept;
+        }
+        out.finish();
+    });
+    packed
 }
 
 /// Sort and dedup consecutive rows packed in `lists`, compacting them to its
@@ -262,6 +302,7 @@ mod tests {
     fn chunked_build_matches_the_sequential_reference() {
         let cases: Vec<(u32, Vec<(VertexId, VertexId)>)> = vec![
             (1, vec![]),
+            (1, vec![(0, 0), (0, 0)]),
             (5, vec![]),
             (5, vec![(4, 4), (0, 4)]),
             (6, random_edges(6, 3, 1)),
@@ -273,7 +314,7 @@ mod tests {
             for opts in all_options() {
                 let expected = reference_build_csr(*n as usize, edges, opts);
                 for chunks in [1, 2, 3, 4, 5, 7] {
-                    let got = build_csr_chunked(*n as usize, edges, opts, chunks);
+                    let got = build_csr_chunked(*n as usize, edges.clone(), opts, chunks);
                     assert_eq!(
                         got,
                         expected,
@@ -289,7 +330,7 @@ mod tests {
     fn endpoint_out_of_range_panics_with_the_index_message() {
         let edges: Vec<_> = (0..10).map(|i| (i, 0)).collect();
         let caught =
-            std::panic::catch_unwind(|| build_csr_chunked(5, &edges, BuildOptions::default(), 2));
+            std::panic::catch_unwind(|| build_csr_chunked(5, edges, BuildOptions::default(), 2));
         let payload = caught.expect_err("an endpoint >= num_vertices must panic");
         let msg = payload.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
         assert!(msg.contains("index out of bounds"), "{msg}");
@@ -298,48 +339,48 @@ mod tests {
     #[test]
     fn builds_fig1_graph() {
         let edges = vec![(0, 1), (0, 2), (1, 2), (2, 0), (3, 2)];
-        let g = build_csr(4, &edges, BuildOptions::default());
-        assert_eq!(g.neighbors(0), &[1, 2]);
-        assert_eq!(g.neighbors(2), &[0]);
+        let g = build_csr(4, edges, BuildOptions::default());
+        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(g.neighbors(2).collect::<Vec<_>>(), [0]);
         assert_eq!(g.num_edges(), 5);
     }
 
     #[test]
     fn symmetrize_doubles_edges() {
         let edges = vec![(0, 1), (1, 2)];
-        let g = build_csr(3, &edges, BuildOptions { symmetrize: true, ..Default::default() });
+        let g = build_csr(3, edges, BuildOptions { symmetrize: true, ..Default::default() });
         assert_eq!(g.num_edges(), 4);
-        assert_eq!(g.neighbors(1), &[0, 2]);
+        assert_eq!(g.neighbors(1).collect::<Vec<_>>(), [0, 2]);
     }
 
     #[test]
     fn self_loops_removed_by_default() {
         let edges = vec![(0, 0), (0, 1), (1, 1)];
-        let g = build_csr(2, &edges, BuildOptions::default());
+        let g = build_csr(2, edges, BuildOptions::default());
         assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.neighbors(0), &[1]);
+        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), [1]);
     }
 
     #[test]
     fn duplicates_removed_and_sorted() {
         let edges = vec![(0, 3), (0, 1), (0, 3), (0, 2), (0, 1)];
-        let g = build_csr(4, &edges, BuildOptions::default());
-        assert_eq!(g.neighbors(0), &[1, 2, 3]);
+        let g = build_csr(4, edges, BuildOptions::default());
+        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), [1, 2, 3]);
         assert!(g.is_sorted());
     }
 
     #[test]
     fn no_dedup_preserves_multiplicity() {
         let edges = vec![(0, 1), (0, 1)];
-        let g = build_csr(2, &edges, BuildOptions { sort_and_dedup: false, ..Default::default() });
+        let g = build_csr(2, edges, BuildOptions { sort_and_dedup: false, ..Default::default() });
         assert_eq!(g.num_edges(), 2);
     }
 
     #[test]
     fn isolated_vertices_have_empty_lists() {
-        let g = build_csr(5, &[(0, 4)], BuildOptions::default());
+        let g = build_csr(5, vec![(0, 4)], BuildOptions::default());
         assert_eq!(g.degree(1), 0);
         assert_eq!(g.degree(2), 0);
-        assert_eq!(g.neighbors(3), &[] as &[VertexId]);
+        assert_eq!(g.neighbors(3).len(), 0);
     }
 }

@@ -31,7 +31,7 @@ impl DegreeStats {
                 histogram: vec![],
             };
         }
-        let mut degrees: Vec<usize> = g.vertex_ids().map(|v| g.degree(v)).collect();
+        let mut degrees: Vec<usize> = g.degrees().collect();
         // n > 0 was checked above; map_or keeps the empty case total anyway.
         let min = degrees.iter().min().map_or(0, |&d| d);
         let max = degrees.iter().max().map_or(0, |&d| d);
@@ -63,7 +63,7 @@ mod tests {
     fn star_graph_is_maximally_skewed() {
         // Vertex 0 connected to everyone.
         let edges: Vec<(u32, u32)> = (1..100).map(|v| (0, v)).collect();
-        let g = build_csr(100, &edges, BuildOptions { symmetrize: true, ..Default::default() });
+        let g = build_csr(100, edges, BuildOptions { symmetrize: true, ..Default::default() });
         let s = DegreeStats::of(&g);
         assert_eq!(s.max, 99);
         assert_eq!(s.min, 1);
@@ -75,7 +75,7 @@ mod tests {
     #[test]
     fn ring_graph_is_uniform() {
         let edges: Vec<(u32, u32)> = (0..100).map(|v| (v, (v + 1) % 100)).collect();
-        let g = build_csr(100, &edges, BuildOptions { symmetrize: true, ..Default::default() });
+        let g = build_csr(100, edges, BuildOptions { symmetrize: true, ..Default::default() });
         let s = DegreeStats::of(&g);
         assert_eq!(s.min, 2);
         assert_eq!(s.max, 2);
@@ -86,7 +86,7 @@ mod tests {
     #[test]
     fn histogram_buckets_sum_to_vertex_count() {
         let edges: Vec<(u32, u32)> = (1..50).map(|v| (0, v)).collect();
-        let g = build_csr(60, &edges, BuildOptions::default());
+        let g = build_csr(60, edges, BuildOptions::default());
         let s = DegreeStats::of(&g);
         assert_eq!(s.histogram.iter().sum::<usize>(), 60);
     }

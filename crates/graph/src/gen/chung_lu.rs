@@ -103,7 +103,7 @@ struct Slot {
 /// undirected edges.
 pub fn chung_lu(n: usize, edge_factor: usize, params: ChungLuParams, seed: u64) -> Csr {
     let edges = chung_lu_edges(n, edge_factor, params, seed, host_chunks(edge_factor * n));
-    build_csr(n, &edges, BuildOptions { symmetrize: true, ..Default::default() })
+    build_csr(n, edges, BuildOptions { symmetrize: true, ..Default::default() })
 }
 
 /// [`chung_lu`]'s edge list, drawn over `chunks` threads.

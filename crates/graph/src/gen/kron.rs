@@ -29,7 +29,7 @@ fn quadrant(r: f64) -> (u64, u64) {
 pub fn kron(scale: u32, edge_factor: usize, seed: u64) -> Csr {
     let n = 1usize << scale;
     let edges = kron_edges(scale, edge_factor, seed, host_chunks(edge_factor * n));
-    build_csr(n, &edges, BuildOptions { symmetrize: true, ..Default::default() })
+    build_csr(n, edges, BuildOptions { symmetrize: true, ..Default::default() })
 }
 
 /// [`kron`]'s edge list, drawn over `chunks` threads. Each edge takes
@@ -127,8 +127,8 @@ mod tests {
         let g = kron(8, 4, 3);
         g.validate().unwrap();
         for u in g.vertex_ids() {
-            for &v in g.neighbors(u) {
-                assert!(g.neighbors(v).contains(&u), "missing reverse edge {v}->{u}");
+            for v in g.neighbors(u) {
+                assert!(g.neighbors(v).any(|x| x == u), "missing reverse edge {v}->{u}");
             }
         }
     }

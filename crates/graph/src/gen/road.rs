@@ -65,7 +65,7 @@ pub fn road(side: usize, keep: f64, shortcuts: usize, seed: u64) -> Csr {
         let c = rng.random_range(0..span);
         edges.push((id(r, c), id(r + 1, c + 1)));
     }
-    build_csr(n, &edges, BuildOptions { symmetrize: true, ..Default::default() })
+    build_csr(n, edges, BuildOptions { symmetrize: true, ..Default::default() })
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@
 //! [`GraphIoError`] and never panics: a corrupt or outdated (`GPCSRv1`)
 //! cache file is recoverable — the runner regenerates the graph.
 
-use crate::csr::{Csr, VertexId};
+use crate::csr::{pack_neighbors, pack_offsets, widths, Csr, VertexId};
+use crate::packed::Packer;
 use simstate::frame::{FrameError, FrameReader, FrameWriter, Magic};
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -73,41 +74,53 @@ pub fn write_binary<W: Write>(g: &Csr, writer: W) -> io::Result<()> {
     let mut frame = FrameWriter::new(BufWriter::new(writer), MAGIC, len)?;
     frame.put(&n.to_le_bytes())?;
     frame.put(&m.to_le_bytes())?;
-    for &o in g.offsets() {
+    for o in g.offsets() {
         frame.put(&o.to_le_bytes())?;
     }
-    for &v in g.raw_neighbors() {
+    for v in g.raw_neighbors() {
         frame.put(&v.to_le_bytes())?;
     }
     frame.finish()
 }
 
-/// Read `count` little-endian `N`-byte words. The capacity hint is
-/// clamped so a corrupt count cannot reserve an absurd allocation; the
-/// vector grows past it only as bytes actually arrive.
+/// Read `count` little-endian `N`-byte words, passing them to `each` a
+/// chunk at a time.
 fn read_words<R: Read, T, const N: usize>(
     r: &mut FrameReader<R>,
     count: u64,
     word: fn([u8; N]) -> T,
-) -> Result<Vec<T>, GraphIoError> {
+    mut each: impl FnMut(&[T]) -> Result<(), String>,
+) -> Result<(), GraphIoError> {
     const CHUNK_WORDS: usize = 8192;
-    let mut out = Vec::with_capacity(usize::try_from(count).unwrap_or(usize::MAX).min(1 << 26));
     let mut chunk = vec![0u8; CHUNK_WORDS * N];
+    let mut values = Vec::with_capacity(CHUNK_WORDS);
     let mut left = count;
     while left > 0 {
         let words = usize::try_from(left).unwrap_or(usize::MAX).min(CHUNK_WORDS);
         chunk.truncate(words * N);
         r.read_exact(&mut chunk)?;
+        values.clear();
         // `chunks_exact` yields only `N`-byte slices, so every conversion succeeds.
-        out.extend(chunk.chunks_exact(N).filter_map(|c| c.try_into().ok()).map(word));
+        values.extend(chunk.chunks_exact(N).filter_map(|c| c.try_into().ok()).map(word));
+        each(&values).map_err(|detail| GraphIoError::InvalidCsr { detail })?;
         left -= words as u64;
     }
-    Ok(out)
+    Ok(())
+}
+
+/// An empty packer with room for `count` values. The room is clamped so a
+/// corrupt count cannot reserve an absurd allocation; the array grows past
+/// it only as bytes actually arrive.
+fn with_room(width: u32, count: u64) -> Packer {
+    let mut p = Packer::new(width);
+    p.reserve(usize::try_from(count).unwrap_or(usize::MAX).min(1 << 26));
+    p
 }
 
 /// Deserialize a CSR from the compact binary format, verifying the frame
 /// and then every structural invariant (monotone offsets, in-range
-/// neighbor ids) before the graph is handed to any kernel.
+/// neighbor ids) before the graph is handed to any kernel. Values are
+/// packed as they arrive, so the unpacked arrays are never held.
 pub fn read_binary<R: Read>(reader: R) -> Result<Csr, GraphIoError> {
     let mut frame = FrameReader::open(BufReader::new(reader), MAGIC, u64::MAX)?;
     let (n, m, len) = (frame.read_u64()?, frame.read_u64()?, frame.payload_len());
@@ -115,10 +128,14 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Csr, GraphIoError> {
         let detail = format!("a {len}-byte payload cannot hold {n} vertices and {m} edges");
         return Err(GraphIoError::InvalidCsr { detail });
     }
-    let offsets = read_words(&mut frame, n + 1, u64::from_le_bytes)?;
-    let neighbors = read_words(&mut frame, m, VertexId::from_le_bytes)?;
+    let (oa_width, na_width) = widths(n, m);
+    let mut offsets = with_room(oa_width, n + 1);
+    read_words(&mut frame, n + 1, u64::from_le_bytes, |o| pack_offsets(&mut offsets, o, m))?;
+    let mut neighbors = with_room(na_width, m);
+    read_words(&mut frame, m, VertexId::from_le_bytes, |v| pack_neighbors(&mut neighbors, v, n))?;
     frame.finish()?;
-    Csr::try_from_raw(offsets, neighbors).map_err(|detail| GraphIoError::InvalidCsr { detail })
+    Csr::try_from_packed(offsets.finish(), neighbors.finish())
+        .map_err(|detail| GraphIoError::InvalidCsr { detail })
 }
 
 /// Save to / load from a binary file path.
@@ -170,6 +187,17 @@ mod tests {
              0200000000000000030000000000000003000000000000000100000002000000000000003c000000\
              0000000018ebf5feac09116b"
         );
+    }
+
+    /// The bytes of a saved Small suite graph, pinned when neighbour ids
+    /// were still held as `u32` in memory: the in-memory layout must not
+    /// leak into the file, so cache files stay readable in both directions.
+    #[test]
+    fn saved_small_graph_bytes_are_pinned() {
+        let bytes = encoded(&crate::build(crate::GraphInput::Road, crate::SuiteScale::Small));
+        let mut h = simstate::Fnv1a::new();
+        h.update(&bytes);
+        assert_eq!((bytes.len(), h.finish()), (1_511_712, 0x7dee_dd7a_5198_8a48));
     }
 
     #[test]

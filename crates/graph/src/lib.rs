@@ -1,7 +1,8 @@
 #![forbid(unsafe_code)]
 //! # gpgraph — graph substrate
 //!
-//! CSR/CSC graph representation (Section II-A of the paper), deterministic
+//! CSR/CSC graph representation (Section II-A of the paper), bit-packed
+//! at the arrays' natural widths ([`packed`]), deterministic
 //! generators reproducing the degree character of the six Table III input
 //! graphs, transposition (needed by pull kernels and the T-OPT baseline),
 //! degree statistics, and (de)serialization.
@@ -19,6 +20,7 @@ pub mod csr;
 pub mod degree;
 pub mod gen;
 pub mod io;
+pub mod packed;
 pub mod suite;
 pub mod transpose;
 

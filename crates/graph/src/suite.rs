@@ -92,8 +92,9 @@ impl SuiteScale {
 /// Degree targets follow Table III's character — road ~2.4 and planar;
 /// twitter/web/kron power-law (web with id-locality from URL ordering);
 /// urand uniform; friendster the densest of the suite — with edge factors
-/// trimmed ~30-40% below the originals so six multi-hundred-MB neighbor
-/// arrays fit one machine (DESIGN.md, Substitutions).
+/// trimmed ~30-40% below the originals so the six graphs fit one machine
+/// (DESIGN.md, Substitutions). Packed at 20-bit ids, the six Medium graphs
+/// take 285 MiB in all (12-73 MiB each); Full takes over four times that.
 pub fn build(input: GraphInput, scale: SuiteScale) -> Csr {
     let bits = scale.bits();
     let n = scale.vertices();

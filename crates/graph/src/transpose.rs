@@ -11,7 +11,7 @@ use crate::csr::{slot, Csr, VertexId};
 pub fn transpose(g: &Csr) -> Csr {
     let n = g.num_vertices();
     let mut degree = vec![0u64; n];
-    for &v in g.raw_neighbors() {
+    for v in g.raw_neighbors() {
         degree[v as usize] += 1;
     }
     let mut offsets = vec![0u64; n + 1];
@@ -22,7 +22,7 @@ pub fn transpose(g: &Csr) -> Csr {
     let mut cursor = offsets[..n].to_vec();
     // Iterating sources in ascending order yields sorted incoming lists.
     for u in g.vertex_ids() {
-        for &v in g.neighbors(u) {
+        for v in g.neighbors(u) {
             neighbors[slot(cursor[v as usize])] = u;
             cursor[v as usize] += 1;
         }
@@ -44,10 +44,8 @@ mod tests {
         // The paper's Fig. 1 CSC: incoming(0) = {2}, incoming(1) = {0},
         // incoming(2) = {0, 1, 3}, incoming(3) = {}.
         let t = transpose(&fig1());
-        assert_eq!(t.neighbors(0), &[2]);
-        assert_eq!(t.neighbors(1), &[0]);
-        assert_eq!(t.neighbors(2), &[0, 1, 3]);
-        assert_eq!(t.neighbors(3), &[] as &[VertexId]);
+        let rows: Vec<Vec<VertexId>> = t.vertex_ids().map(|v| t.neighbors(v).collect()).collect();
+        assert_eq!(rows, [vec![2], vec![0], vec![0, 1, 3], vec![]]);
     }
 
     #[test]
@@ -59,7 +57,7 @@ mod tests {
     #[test]
     fn transpose_preserves_edge_count() {
         let edges: Vec<(u32, u32)> = (0..200).map(|i| ((i * 7) % 50, (i * 13 + 3) % 50)).collect();
-        let g = build_csr(50, &edges, BuildOptions::default());
+        let g = build_csr(50, edges, BuildOptions::default());
         let t = transpose(&g);
         assert_eq!(g.num_edges(), t.num_edges());
         t.validate().unwrap();
@@ -69,7 +67,7 @@ mod tests {
     #[test]
     fn symmetric_graph_transpose_is_itself() {
         let edges = vec![(0, 1), (1, 2), (2, 0)];
-        let g = build_csr(3, &edges, BuildOptions { symmetrize: true, ..Default::default() });
+        let g = build_csr(3, edges, BuildOptions { symmetrize: true, ..Default::default() });
         assert_eq!(transpose(&g), g);
     }
 }

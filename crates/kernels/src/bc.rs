@@ -71,10 +71,8 @@ pub fn betweenness<T: Tracer + ?Sized>(
             oa.load(t, pc::OA_LOAD, u as u64);
             t.bubble(mix::VERTEX);
             stack.push(u);
-            let (lo, hi) = g.edge_range(u);
-            for i in lo..hi {
+            for (i, v) in g.row(u) {
                 na.load(t, pc::NA_LOAD, i);
-                let v = g.neighbor_at(i);
                 depth_arr.load(t, pc::DEPTH_PROBE, v as u64);
                 t.bubble(mix::EDGE);
                 if depth[v as usize] == i64::MAX {
@@ -99,10 +97,8 @@ pub fn betweenness<T: Tracer + ?Sized>(
             queue_arr.load(t, pc::STACK_POP, si as u64 % n as u64);
             oa.load(t, pc::OA_LOAD, w as u64);
             t.bubble(mix::VERTEX);
-            let (lo, hi) = g.edge_range(w);
-            for i in lo..hi {
+            for (i, v) in g.row(w) {
                 na.load(t, pc::NA_LOAD, i);
-                let v = g.neighbor_at(i);
                 depth_arr.load(t, pc::DEPTH_PROBE, v as u64);
                 t.bubble(mix::EDGE);
                 // v is a predecessor of w on a shortest path.
@@ -129,8 +125,11 @@ pub fn betweenness<T: Tracer + ?Sized>(
 /// GAP-style deterministic source sample: the `k` highest-degree vertices
 /// (deterministic and guaranteed non-isolated).
 pub fn pick_sources(input: &KernelInput, k: usize) -> Vec<VertexId> {
-    let mut by_degree: Vec<VertexId> = (0..input.num_vertices() as VertexId).collect();
-    by_degree.sort_by_key(|&v| std::cmp::Reverse(input.csr.degree(v)));
+    let g = &input.csr;
+    // Decode each degree once, not at every comparison of the sort.
+    let degree: Vec<usize> = g.degrees().collect();
+    let mut by_degree: Vec<VertexId> = g.vertex_ids().collect();
+    by_degree.sort_by_key(|&v| std::cmp::Reverse(degree[v as usize]));
     by_degree.truncate(k);
     by_degree
 }
@@ -158,7 +157,7 @@ mod tests {
         let edges: Vec<(u32, u32)> = (0..9u32).map(|i| (i, i + 1)).collect();
         let g = gpgraph::build_csr(
             10,
-            &edges,
+            edges,
             gpgraph::BuildOptions { symmetrize: true, ..Default::default() },
         );
         let input = KernelInput::from_symmetric(g);
@@ -179,7 +178,9 @@ mod tests {
         assert_eq!(sources.len(), 8);
         let min_picked = sources.iter().map(|&s| input.csr.degree(s)).min().unwrap();
         // No unpicked vertex has higher degree than the lowest picked one.
-        let max_unpicked = (0..input.num_vertices() as u32)
+        let max_unpicked = input
+            .csr
+            .vertex_ids()
             .filter(|v| !sources.contains(v))
             .map(|v| input.csr.degree(v))
             .max()

@@ -82,10 +82,8 @@ pub fn bfs<T: Tracer + ?Sized>(
                 queue_arr.load(t, pc::QUEUE_POP, qi as u64);
                 oa.load(t, pc::OA_LOAD, u as u64);
                 t.bubble(mix::VERTEX);
-                let (lo, hi) = g.edge_range(u);
-                for i in lo..hi {
+                for (i, v) in g.row(u) {
                     na.load(t, pc::NA_LOAD, i);
-                    let v = g.neighbor_at(i);
                     parent_arr.load(t, pc::PARENT_PROBE, v as u64);
                     t.bubble(mix::EDGE);
                     if parent[v as usize] == UNVISITED {
@@ -108,7 +106,7 @@ pub fn bfs<T: Tracer + ?Sized>(
                 }
                 bm
             };
-            for v in 0..n as VertexId {
+            for v in gin.vertex_ids() {
                 if v % 1024 == 0 && t.done() {
                     break 'outer;
                 }
@@ -119,10 +117,8 @@ pub fn bfs<T: Tracer + ?Sized>(
                 }
                 oa_in.load(t, pc::OA_IN_LOAD, v as u64);
                 t.bubble(mix::VERTEX);
-                let (lo, hi) = gin.edge_range(v);
-                for i in lo..hi {
+                for (i, u) in gin.row(v) {
                     na_in.load(t, pc::NA_IN_LOAD, i);
-                    let u = gin.neighbor_at(i);
                     depth_arr.load(t, pc::DEPTH_PROBE, u as u64);
                     t.bubble(mix::EDGE);
                     if in_frontier[u as usize] {
@@ -152,15 +148,15 @@ mod tests {
     fn check_against_reference(input: &KernelInput, source: VertexId) {
         let result = bfs(input, 0, source, &mut NullTracer::new());
         let reference = bfs_levels(&input.csr, source);
-        for v in 0..input.num_vertices() {
-            let ref_depth = reference[v];
+        for v in input.csr.vertex_ids() {
+            let (ref_depth, v) = (reference[v as usize], v as usize);
             if ref_depth == u32::MAX {
                 assert_eq!(result.parent[v], UNVISITED, "vertex {v} wrongly reached");
             } else {
                 assert_eq!(result.depth[v], ref_depth, "depth mismatch at {v}");
-                if v as u32 != source {
+                if v != source as usize {
                     // Parent must be one level closer.
-                    let p = result.parent[v] as usize;
+                    let p = usize::try_from(result.parent[v]).unwrap();
                     assert_eq!(reference[p], ref_depth - 1, "bad parent at {v}");
                 }
             }

@@ -48,25 +48,23 @@ pub fn connected_components<T: Tracer + ?Sized>(
     let na = space.alloc(sid::NA, 4, g.num_edges().max(1) as u64);
     let comp_arr = space.alloc(sid::PROP_A, 4, n as u64);
 
-    let mut comp: Vec<VertexId> = (0..n as VertexId).collect();
+    let mut comp: Vec<VertexId> = g.vertex_ids().collect();
     let mut rounds = 0;
 
     'outer: loop {
         rounds += 1;
         let mut changed = false;
         // Hook phase: one NA sweep.
-        for u in 0..n as VertexId {
+        for u in g.vertex_ids() {
             if u % 1024 == 0 && t.done() {
                 break 'outer;
             }
             oa.load(t, pc::OA_LOAD, u as u64);
             comp_arr.load(t, pc::COMP_U, u as u64);
             t.bubble(mix::VERTEX);
-            let (lo, hi) = g.edge_range(u);
-            for i in lo..hi {
-                let v = g.neighbor_at(i);
+            for (i, v) in g.row(u) {
                 na.load(t, pc::NA_LOAD, i);
-                comp_arr.load_hinted(t, pc::COMP_V, v as u64, oracle.hint(rounds - 1, i as u32, v));
+                comp_arr.load_hinted(t, pc::COMP_V, v as u64, oracle.hint(rounds - 1, i, v));
                 t.bubble(mix::EDGE);
                 let (cu, cv) = (comp[u as usize], comp[v as usize]);
                 if cv < cu {
@@ -79,7 +77,7 @@ pub fn connected_components<T: Tracer + ?Sized>(
             }
         }
         // Compress phase: pointer jumping.
-        for v in 0..n as VertexId {
+        for v in g.vertex_ids() {
             if v % 2048 == 0 && t.done() {
                 break 'outer;
             }

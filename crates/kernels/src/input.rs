@@ -35,7 +35,7 @@ impl KernelInput {
     /// Deterministic traversal source: the highest-out-degree vertex
     /// (guaranteed non-isolated on any graph with edges).
     pub fn default_source(&self) -> VertexId {
-        (0..self.num_vertices() as VertexId).max_by_key(|&v| self.csr.degree(v)).unwrap_or(0)
+        self.csr.vertex_ids().zip(self.csr.degrees()).max_by_key(|&(_, d)| d).map_or(0, |(v, _)| v)
     }
 }
 
@@ -53,17 +53,17 @@ mod tests {
 
     #[test]
     fn directed_builds_transpose() {
-        let g = build_csr(3, &[(0, 1), (1, 2)], BuildOptions::default());
+        let g = build_csr(3, vec![(0, 1), (1, 2)], BuildOptions::default());
         let input = KernelInput::from_directed(g);
-        assert_eq!(input.csc.neighbors(1), &[0]);
-        assert_eq!(input.csc.neighbors(2), &[1]);
+        assert_eq!(input.csc.neighbors(1).collect::<Vec<_>>(), [0]);
+        assert_eq!(input.csc.neighbors(2).collect::<Vec<_>>(), [1]);
     }
 
     #[test]
     fn default_source_is_max_degree() {
         let g = build_csr(
             4,
-            &[(2, 0), (2, 1), (2, 3), (0, 1)],
+            vec![(2, 0), (2, 1), (2, 3), (0, 1)],
             BuildOptions { symmetrize: true, ..Default::default() },
         );
         let input = KernelInput::from_symmetric(g);
@@ -74,7 +74,7 @@ mod tests {
     fn oracle_follows_the_csc_sweep_order() {
         // Directed 0->1, 0->2, 1->2: the CSC neighbors array is [0, 0, 1],
         // so vertex 0's first slot is 0 and its next one is 1.
-        let g = build_csr(3, &[(0, 1), (0, 2), (1, 2)], BuildOptions::default());
+        let g = build_csr(3, vec![(0, 1), (0, 2), (1, 2)], BuildOptions::default());
         let input = KernelInput::from_directed(g);
         let oracle = crate::NextUseOracle::build(&input.csc, None);
         assert_eq!(oracle.sweep_len(), 3);

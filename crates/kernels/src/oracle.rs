@@ -42,22 +42,25 @@ impl NextUseOracle {
     ///
     /// [`Tracer::remaining`]: simcore::trace::Tracer::remaining
     pub fn build(g: &Csr, bound: Option<u64>) -> Self {
-        let e = g.num_edges();
-        assert!(e < NONE as usize, "graph too large for 32-bit oracle positions");
-        let kept = bound.map_or(e, |b| usize::try_from(b).unwrap_or(usize::MAX).min(e));
-        let mut next_pos = vec![NONE; kept];
+        let edges = u32::try_from(g.num_edges()).unwrap_or(NONE);
+        assert!(edges < NONE, "graph too large for 32-bit oracle positions");
+        let kept = bound.map_or(edges, |b| u32::try_from(b).unwrap_or(NONE).min(edges));
+        let mut next_pos = vec![NONE; kept as usize];
         let mut last_seen = vec![NONE; g.num_vertices()];
-        // Backward scan threads each vertex's occurrences into a chain.
-        for i in (0..e).rev() {
-            let v = g.raw_neighbors()[i] as usize;
+        // A backward scan, decoding the NA from its end, threads each
+        // vertex's occurrences into a chain.
+        let mut i = edges;
+        for v in g.raw_neighbors().rev() {
+            i -= 1;
+            let v = v as usize;
             if i < kept {
-                next_pos[i] = last_seen[v];
+                next_pos[i as usize] = last_seen[v];
             }
-            last_seen[v] = i as u32;
+            last_seen[v] = i;
         }
         // After the backward scan, last_seen holds each vertex's first
         // occurrence.
-        NextUseOracle { next_pos, first_pos: last_seen, edges: e as u32 }
+        NextUseOracle { next_pos, first_pos: last_seen, edges }
     }
 
     /// Number of hinted accesses per sweep.
@@ -70,8 +73,8 @@ impl NextUseOracle {
     /// if the oracle position would overflow (effectively "far future") or
     /// `i` lies past the build bound (the tracer drops that event).
     #[inline]
-    pub fn hint(&self, sweep: u32, i: u32, v: VertexId) -> u32 {
-        let Some(&same_sweep) = self.next_pos.get(i as usize) else {
+    pub fn hint(&self, sweep: u32, i: u64, v: VertexId) -> u32 {
+        let Some(&same_sweep) = usize::try_from(i).ok().and_then(|i| self.next_pos.get(i)) else {
             return NONE;
         };
         if same_sweep != NONE {
@@ -122,9 +125,8 @@ mod tests {
         let g = gpgraph::gen::kron(8, 4, 3);
         let o = NextUseOracle::build(&g, None);
         for sweep in 0..3u32 {
-            for i in 0..g.num_edges() as u32 {
-                let v = g.raw_neighbors()[i as usize];
-                let h = o.hint(sweep, i, v);
+            for (i, v) in (0u32..).zip(g.raw_neighbors()) {
+                let h = o.hint(sweep, i.into(), v);
                 let now = sweep * o.sweep_len() + i;
                 assert!(h == u32::MAX || h > now, "hint {h} not after {now}");
             }
@@ -141,10 +143,10 @@ mod tests {
             let part = NextUseOracle::build(&g, Some(u64::from(bound)));
             assert_eq!(part.next_pos.len(), bound as usize);
             assert_eq!(part.sweep_len(), e);
-            for (i, &v) in (0..e).zip(g.raw_neighbors()) {
+            for (i, v) in (0..e).zip(g.raw_neighbors()) {
                 for sweep in 0..2 {
-                    let want = if i < bound { full.hint(sweep, i, v) } else { NONE };
-                    assert_eq!(part.hint(sweep, i, v), want, "bound {bound}, position {i}");
+                    let want = if i < bound { full.hint(sweep, i.into(), v) } else { NONE };
+                    assert_eq!(part.hint(sweep, i.into(), v), want, "bound {bound}, position {i}");
                 }
             }
         }

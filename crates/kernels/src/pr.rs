@@ -63,8 +63,7 @@ pub fn pagerank<T: Tracer + ?Sized>(
     'outer: for iter in 0..max_iters {
         iterations = iter + 1;
         // Phase 1 (Algorithm 1, lines 4-6): sequential contrib sweep.
-        #[allow(clippy::needless_range_loop)] // mirrors Algorithm 1's indexing
-        for u in 0..n {
+        for u in out.vertex_ids() {
             if u % 4096 == 0 && t.done() {
                 break 'outer;
             }
@@ -72,35 +71,29 @@ pub fn pagerank<T: Tracer + ?Sized>(
             degree_arr.load(t, pc::DEGREE_LOAD, u as u64);
             contrib_arr.store(t, pc::CONTRIB_STORE, u as u64);
             t.bubble(mix::VERTEX);
-            let d = out.degree(u as u32);
+            let d = out.degree(u);
+            let u = u as usize;
             contrib[u] = if d > 0 { scores[u] / d as f64 } else { 0.0 };
         }
         // Phase 2 (lines 7-15): the pull sweep.
         let mut error = 0.0;
-        #[allow(clippy::needless_range_loop)] // mirrors Algorithm 1's indexing
-        for u in 0..n {
+        for u in g.vertex_ids() {
             if u % 1024 == 0 && t.done() {
                 break 'outer;
             }
             oa.load(t, pc::OA_LOAD, u as u64);
             t.bubble(mix::VERTEX);
-            let (lo, hi) = g.edge_range(u as u32);
             let mut sum = 0.0;
-            for i in lo..hi {
-                let v = g.neighbor_at(i);
+            for (i, v) in g.row(u) {
                 na.load(t, pc::NA_LOAD, i);
                 // The connectivity-driven gather: cache-averse by nature.
-                contrib_arr.load_hinted(
-                    t,
-                    pc::CONTRIB_GATHER,
-                    v as u64,
-                    oracle.hint(iter, i as u32, v),
-                );
+                contrib_arr.load_hinted(t, pc::CONTRIB_GATHER, v as u64, oracle.hint(iter, i, v));
                 t.bubble(mix::EDGE);
                 sum += contrib[v as usize];
             }
             scores_arr.store(t, pc::SCORE_STORE, u as u64);
             t.bubble(mix::UPDATE);
+            let u = u as usize;
             let new_score = base + damping * sum;
             error += (new_score - scores[u]).abs();
             scores[u] = new_score;
@@ -172,16 +165,16 @@ mod tests {
             .map(|e| (e.addr, e.next_use))
             .collect();
         let mut next_seen: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (i, (addr, _)) in hinted.iter().enumerate() {
-            next_seen.entry(*addr).or_default().push(i as u32);
+        for (i, (addr, _)) in (0u32..).zip(&hinted) {
+            next_seen.entry(*addr).or_default().push(i);
         }
         let mut checked = 0;
-        for (i, (addr, hint)) in hinted.iter().enumerate() {
+        for (i, (addr, hint)) in (0u32..).zip(&hinted) {
             if *hint == u32::MAX {
                 continue;
             }
             let positions = &next_seen[addr];
-            let idx = positions.partition_point(|&p| p <= i as u32);
+            let idx = positions.partition_point(|&p| p <= i);
             if let Some(&actual_next) = positions.get(idx) {
                 // Hints count hinted accesses starting at the oracle's own
                 // origin; allow the off-by-one between "position" and
@@ -212,7 +205,7 @@ mod tests {
         let edges: Vec<(u32, u32)> = (0..256u32).map(|v| (v, (v + 1) % 256)).collect();
         let g = gpgraph::build_csr(
             256,
-            &edges,
+            edges,
             gpgraph::BuildOptions { symmetrize: true, ..Default::default() },
         );
         let input = KernelInput::from_symmetric(g);

@@ -14,7 +14,7 @@ pub fn bfs_levels(g: &Csr, source: VertexId) -> Vec<u32> {
     depth[source as usize] = 0;
     let mut queue = std::collections::VecDeque::from([source]);
     while let Some(u) = queue.pop_front() {
-        for &v in g.neighbors(u) {
+        for v in g.neighbors(u) {
             if depth[v as usize] == u32::MAX {
                 depth[v as usize] = depth[u as usize] + 1;
                 queue.push_back(v);
@@ -32,18 +32,18 @@ pub fn pagerank_dense(g: &Csr, damping: f64, epsilon: f64, max_iters: u32) -> Ve
     let base = (1.0 - damping) / n as f64;
     for _ in 0..max_iters {
         let mut contrib = vec![0.0; n];
-        for (v, c) in contrib.iter_mut().enumerate() {
-            let d = g.degree(v as VertexId);
+        for ((v, c), score) in g.vertex_ids().zip(&mut contrib).zip(&scores) {
+            let d = g.degree(v);
             if d > 0 {
-                *c = scores[v] / d as f64;
+                *c = score / d as f64;
             }
         }
         let mut error = 0.0;
         let mut next = vec![0.0; n];
-        for (u, nu) in next.iter_mut().enumerate() {
-            let sum: f64 = g.neighbors(u as VertexId).iter().map(|&v| contrib[v as usize]).sum();
+        for ((u, nu), score) in g.vertex_ids().zip(&mut next).zip(&scores) {
+            let sum: f64 = g.neighbors(u).map(|v| contrib[v as usize]).sum();
             *nu = base + damping * sum;
-            error += (*nu - scores[u]).abs();
+            error += (*nu - score).abs();
         }
         scores = next;
         if error < epsilon {
@@ -56,8 +56,7 @@ pub fn pagerank_dense(g: &Csr, damping: f64, epsilon: f64, max_iters: u32) -> Ve
 /// Connected components by union-find; returns a canonical label per
 /// vertex (the minimum vertex id in its component).
 pub fn cc_union_find(g: &Csr) -> Vec<VertexId> {
-    let n = g.num_vertices();
-    let mut parent: Vec<u32> = (0..n as u32).collect();
+    let mut parent: Vec<u32> = g.vertex_ids().collect();
     fn find(parent: &mut [u32], x: u32) -> u32 {
         let mut root = x;
         while parent[root as usize] != root {
@@ -77,23 +76,24 @@ pub fn cc_union_find(g: &Csr) -> Vec<VertexId> {
             parent[ru.max(rv) as usize] = ru.min(rv);
         }
     }
-    (0..n as u32).map(|v| find(&mut parent, v)).collect()
+    g.vertex_ids().map(|v| find(&mut parent, v)).collect()
 }
 
 /// Exact triangle count (each triangle counted once).
 pub fn triangle_count_brute(g: &Csr) -> u64 {
     // For every edge (u, v) with u < v, count common neighbors w > v.
     let mut count = 0u64;
-    for u in 0..g.num_vertices() as VertexId {
-        for &v in g.neighbors(u) {
+    for u in g.vertex_ids() {
+        let row_u: Vec<VertexId> = g.neighbors(u).collect();
+        for &v in &row_u {
             if v <= u {
                 continue;
             }
-            for &w in g.neighbors(v) {
+            for w in g.neighbors(v) {
                 if w <= v {
                     continue;
                 }
-                if g.neighbors(u).binary_search(&w).is_ok() {
+                if row_u.binary_search(&w).is_ok() {
                     count += 1;
                 }
             }
@@ -122,7 +122,7 @@ pub fn dijkstra(g: &Csr, source: VertexId) -> Vec<u64> {
         if d > dist[u as usize] {
             continue;
         }
-        for &v in g.neighbors(u) {
+        for v in g.neighbors(u) {
             let nd = d + edge_weight(u, v);
             if nd < dist[v as usize] {
                 dist[v as usize] = nd;
@@ -148,7 +148,7 @@ pub fn bc_brandes(g: &Csr, sources: &[VertexId]) -> Vec<f64> {
         let mut queue = std::collections::VecDeque::from([s]);
         while let Some(u) = queue.pop_front() {
             stack.push(u);
-            for &v in g.neighbors(u) {
+            for v in g.neighbors(u) {
                 if depth[v as usize] == i64::MAX {
                     depth[v as usize] = depth[u as usize] + 1;
                     queue.push_back(v);
@@ -178,9 +178,9 @@ mod tests {
     use super::*;
     use gpgraph::{build_csr, BuildOptions};
 
-    fn path_graph(n: usize) -> Csr {
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        build_csr(n, &edges, BuildOptions { symmetrize: true, ..Default::default() })
+    fn path_graph(n: u32) -> Csr {
+        let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        build_csr(n as usize, edges, BuildOptions { symmetrize: true, ..Default::default() })
     }
 
     #[test]
@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn bfs_unreachable() {
-        let g = build_csr(3, &[(0, 1)], BuildOptions { symmetrize: true, ..Default::default() });
+        let g = build_csr(3, vec![(0, 1)], BuildOptions { symmetrize: true, ..Default::default() });
         let d = bfs_levels(&g, 0);
         assert_eq!(d[2], u32::MAX);
     }
@@ -203,7 +203,7 @@ mod tests {
         // mass leaks and the scores sum to 1. (Kron graphs have isolated
         // vertices, which leak mass in GAP's formulation and ours alike.)
         let edges: Vec<(u32, u32)> = (0..128u32).map(|v| (v, (v + 1) % 128)).collect();
-        let g = build_csr(128, &edges, BuildOptions { symmetrize: true, ..Default::default() });
+        let g = build_csr(128, edges, BuildOptions { symmetrize: true, ..Default::default() });
         let s = pagerank_dense(&g, 0.85, 1e-12, 200);
         let sum: f64 = s.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "sum = {sum}");
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn pagerank_symmetric_ring_is_uniform() {
         let edges: Vec<(u32, u32)> = (0..8u32).map(|v| (v, (v + 1) % 8)).collect();
-        let g = build_csr(8, &edges, BuildOptions { symmetrize: true, ..Default::default() });
+        let g = build_csr(8, edges, BuildOptions { symmetrize: true, ..Default::default() });
         let s = pagerank_dense(&g, 0.85, 1e-12, 200);
         for &x in &s {
             assert!((x - 0.125).abs() < 1e-9);
@@ -223,7 +223,7 @@ mod tests {
     fn cc_two_components() {
         let g = build_csr(
             6,
-            &[(0, 1), (1, 2), (3, 4)],
+            vec![(0, 1), (1, 2), (3, 4)],
             BuildOptions { symmetrize: true, ..Default::default() },
         );
         let c = cc_union_find(&g);
@@ -239,7 +239,7 @@ mod tests {
     fn triangle_in_k3() {
         let g = build_csr(
             3,
-            &[(0, 1), (1, 2), (0, 2)],
+            vec![(0, 1), (1, 2), (0, 2)],
             BuildOptions { symmetrize: true, ..Default::default() },
         );
         assert_eq!(triangle_count_brute(&g), 1);
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn triangles_in_k4() {
         let edges = vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
-        let g = build_csr(4, &edges, BuildOptions { symmetrize: true, ..Default::default() });
+        let g = build_csr(4, edges, BuildOptions { symmetrize: true, ..Default::default() });
         assert_eq!(triangle_count_brute(&g), 4);
     }
 

@@ -79,17 +79,19 @@ pub fn sssp<T: Tracer + ?Sized>(
             }
             oa.load(t, pc::OA_LOAD, u as u64);
             t.bubble(mix::SETUP);
-            let (lo, hi) = g.edge_range(u);
-            for i in lo..hi {
+            for (i, v) in g.row(u) {
                 na.load(t, pc::NA_LOAD, i);
                 wa.load(t, pc::WEIGHT_LOAD, i);
-                let v = g.neighbor_at(i);
                 dist_arr.load(t, pc::DIST_PROBE, v as u64);
                 t.bubble(mix::EDGE);
                 let nd = du + edge_weight(u, v);
                 if nd < dist[v as usize] {
                     dist[v as usize] = nd;
                     dist_arr.store(t, pc::DIST_STORE, v as u64);
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "a bucket index: `buckets` is resized to hold it, so it fits a usize"
+                    )]
                     let nb = (nd / delta) as usize;
                     if nb >= buckets.len() {
                         buckets.resize(nb + 1, Vec::new());
@@ -145,7 +147,7 @@ mod tests {
     fn unreachable_vertices_stay_infinite() {
         let g = gpgraph::build_csr(
             4,
-            &[(0, 1)],
+            vec![(0, 1)],
             gpgraph::BuildOptions { symmetrize: true, ..Default::default() },
         );
         let input = KernelInput::from_symmetric(g);

@@ -9,7 +9,6 @@
 use crate::input::KernelInput;
 use crate::mem::{sid, AddressSpace};
 use crate::mix;
-use gpgraph::VertexId;
 use simcore::trace::Tracer;
 
 mod pc {
@@ -41,18 +40,17 @@ pub fn triangle_count<T: Tracer + ?Sized>(input: &KernelInput, asid: u8, t: &mut
 
     let mut triangles = 0u64;
     let mut complete = true;
-    'outer: for u in 0..n as VertexId {
+    'outer: for u in g.vertex_ids() {
         if t.done() {
             complete = false;
             break;
         }
         oa.load(t, pc::OA_U, u as u64);
         t.bubble(mix::VERTEX);
-        let (ulo, uhi) = g.edge_range(u);
-        for iu in ulo..uhi {
+        let mut row_u = g.row(u);
+        while let Some((iu, v)) = row_u.next() {
             na.load(t, pc::NA_U, iu);
             t.bubble(mix::SCAN);
-            let v = g.neighbor_at(iu);
             if v <= u {
                 continue;
             }
@@ -63,25 +61,25 @@ pub fn triangle_count<T: Tracer + ?Sized>(input: &KernelInput, asid: u8, t: &mut
             // Jump to v's row: the irregular part.
             oa.load(t, pc::OA_V, v as u64);
             t.bubble(mix::SETUP);
-            let (vlo, vhi) = g.edge_range(v);
-            // Merge-intersect N(u) (> v) with N(v) (> v).
-            let (mut a, mut b) = (iu + 1, vlo);
-            while a < uhi && b < vhi {
-                na.load(t, pc::NA_U, a);
-                na.load(t, pc::NA_V, b);
+            // Merge-intersect N(u) (> v) with N(v) (> v): the rest of u's
+            // row after slot iu against v's row, each decoded in order.
+            let (mut rest_u, mut row_v) = (row_u.clone(), g.row(v));
+            let (mut a, mut b) = (rest_u.next(), row_v.next());
+            while let (Some((ia, wa)), Some((ib, wb))) = (a, b) {
+                na.load(t, pc::NA_U, ia);
+                na.load(t, pc::NA_V, ib);
                 t.bubble(mix::MERGE_STEP);
-                let (wa, wb) = (g.neighbor_at(a), g.neighbor_at(b));
                 if wb <= v {
-                    b += 1;
+                    b = row_v.next();
                     continue;
                 }
                 match wa.cmp(&wb) {
-                    std::cmp::Ordering::Less => a += 1,
-                    std::cmp::Ordering::Greater => b += 1,
+                    std::cmp::Ordering::Less => a = rest_u.next(),
+                    std::cmp::Ordering::Greater => b = row_v.next(),
                     std::cmp::Ordering::Equal => {
                         triangles += 1;
-                        a += 1;
-                        b += 1;
+                        a = rest_u.next();
+                        b = row_v.next();
                     }
                 }
             }
@@ -97,7 +95,7 @@ mod tests {
     use gpgraph::{build_csr, BuildOptions};
     use simcore::trace::{NullTracer, RecordingTracer};
 
-    fn sym(edges: &[(u32, u32)], n: usize) -> KernelInput {
+    fn sym(edges: Vec<(u32, u32)>, n: usize) -> KernelInput {
         KernelInput::from_symmetric(build_csr(
             n,
             edges,
@@ -107,7 +105,7 @@ mod tests {
 
     #[test]
     fn k3_has_one_triangle() {
-        let input = sym(&[(0, 1), (1, 2), (0, 2)], 3);
+        let input = sym(vec![(0, 1), (1, 2), (0, 2)], 3);
         let r = triangle_count(&input, 0, &mut NullTracer::new());
         assert_eq!(r.triangles, 1);
         assert!(r.complete);
@@ -115,7 +113,7 @@ mod tests {
 
     #[test]
     fn k4_has_four_triangles() {
-        let input = sym(&[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 4);
+        let input = sym(vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 4);
         let r = triangle_count(&input, 0, &mut NullTracer::new());
         assert_eq!(r.triangles, 4);
     }
@@ -124,7 +122,7 @@ mod tests {
     fn triangle_free_graph() {
         // A star has no triangles.
         let edges: Vec<(u32, u32)> = (1..20).map(|v| (0, v)).collect();
-        let input = sym(&edges, 20);
+        let input = sym(edges, 20);
         assert_eq!(triangle_count(&input, 0, &mut NullTracer::new()).triangles, 0);
     }
 

@@ -97,7 +97,7 @@ fn cc_hints_follow_the_csr_it_sweeps() {
     let n = 64u32;
     let edges: Vec<(VertexId, VertexId)> =
         (0..4 * n).map(|k| (k % n, (k * 7 + k / n * 13 + 1) % n)).collect();
-    let input = KernelInput::from_directed(build_csr(n as usize, &edges, BuildOptions::default()));
+    let input = KernelInput::from_directed(build_csr(n as usize, edges, BuildOptions::default()));
     let na = input.num_edges();
     let swept: Vec<VertexId> = (0..na as u64).map(|i| input.csr.neighbor_at(i)).collect();
     let transposed: Vec<VertexId> = (0..na as u64).map(|i| input.csc.neighbor_at(i)).collect();
@@ -108,7 +108,7 @@ fn cc_hints_follow_the_csr_it_sweeps() {
     assert_eq!(t.hints.len(), rounds * na, "one hinted load per NA slot per round");
     let oracle = NextUseOracle::build(&input.csr, None);
     let expected: Vec<u32> = (0..t.hints.len())
-        .map(|k| oracle.hint((k / na) as u32, (k % na) as u32, swept[k % na]))
+        .map(|k| oracle.hint(u32::try_from(k / na).unwrap(), (k % na) as u64, swept[k % na]))
         .collect();
     assert_eq!(t.hints, expected);
 }

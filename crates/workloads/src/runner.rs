@@ -220,8 +220,9 @@ impl Runner {
         g
     }
 
-    /// Drop a cached graph (frees hundreds of MB at Full scale once no
-    /// other runner holds it).
+    /// Drop a cached graph once no other runner holds it: 12-73 MiB of
+    /// packed arrays per Medium graph ([`gpgraph::Csr::footprint_bytes`]),
+    /// over four times that at Full.
     pub fn evict_graph(&self, graph: GraphInput) {
         evict(&self.graphs, &self.index.graphs, &(graph, self.scale));
     }

@@ -41,6 +41,10 @@ fn main() {
         if profile.accesses[i] == 0 {
             continue;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a probability times 40 lies in 0..=40"
+        )]
         let bar_len = (profile.dram_probability(i) * 40.0) as usize;
         println!(
             "  {:>12}  {:>9} accesses  {:5.1}%  {}",

@@ -21,10 +21,10 @@ use simstate::Fnv1a;
 
 fn graph_checksum(g: &Csr) -> u64 {
     let mut h = Fnv1a::new();
-    for &o in g.offsets() {
+    for o in g.offsets() {
         h.update(&o.to_le_bytes());
     }
-    for &v in g.raw_neighbors() {
+    for v in g.raw_neighbors() {
         h.update(&v.to_le_bytes());
     }
     h.finish()

@@ -38,7 +38,7 @@ fn corrupt_and_outdated_cache_files_are_regenerated() {
     // Flip the low bit of the first neighbor id, found by its bytes so the
     // test does not depend on the header layout. Every Tiny kron id is
     // below 2^12, so the flipped id stays in range.
-    let head: Vec<u8> = fresh.raw_neighbors()[..16].iter().flat_map(|v| v.to_le_bytes()).collect();
+    let head: Vec<u8> = fresh.raw_neighbors().take(16).flat_map(|v| v.to_le_bytes()).collect();
     let at = pristine.windows(head.len()).position(|w| w == head.as_slice()).unwrap();
     let mut flipped = pristine.clone();
     flipped[at] ^= 0x01;
@@ -53,8 +53,8 @@ fn corrupt_and_outdated_cache_files_are_regenerated() {
     let mut v1 = b"GPCSRv1\0".to_vec();
     v1.extend((fresh.num_vertices() as u64).to_le_bytes());
     v1.extend((fresh.num_edges() as u64).to_le_bytes());
-    fresh.offsets().iter().for_each(|o| v1.extend(o.to_le_bytes()));
-    fresh.raw_neighbors().iter().for_each(|v| v1.extend(v.to_le_bytes()));
+    fresh.offsets().for_each(|o| v1.extend(o.to_le_bytes()));
+    fresh.raw_neighbors().for_each(|v| v1.extend(v.to_le_bytes()));
     std::fs::write(path, &v1).unwrap();
     cached_kron(&fresh);
     assert_eq!(std::fs::read(path).unwrap(), pristine, "the outdated file is rewritten");

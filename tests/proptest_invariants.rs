@@ -24,8 +24,9 @@ const CASES: u64 = 64;
 fn random_edges(rng: &mut StdRng) -> (usize, Vec<(u32, u32)>) {
     let n = rng.random_range(2usize..64);
     let m = rng.random_range(0usize..200);
-    let edges =
-        (0..m).map(|_| (rng.random_range(0..n as u32), rng.random_range(0..n as u32))).collect();
+    #[expect(clippy::cast_possible_truncation, reason = "n is below 64")]
+    let ids = n as u32;
+    let edges = (0..m).map(|_| (rng.random_range(0..ids), rng.random_range(0..ids))).collect();
     (n, edges)
 }
 
@@ -34,7 +35,7 @@ fn built_csr_is_always_valid() {
     let mut rng = StdRng::seed_from_u64(0xC5A0);
     for case in 0..CASES {
         let (n, edges) = random_edges(&mut rng);
-        let g = build_csr(n, &edges, BuildOptions::default());
+        let g = build_csr(n, edges, BuildOptions::default());
         assert!(g.validate().is_ok(), "case {case}");
         assert!(g.is_sorted(), "case {case}");
     }
@@ -45,7 +46,7 @@ fn transpose_is_involutive() {
     let mut rng = StdRng::seed_from_u64(0xC5A1);
     for case in 0..CASES {
         let (n, edges) = random_edges(&mut rng);
-        let g = build_csr(n, &edges, BuildOptions::default());
+        let g = build_csr(n, edges, BuildOptions::default());
         let tt = transpose(&transpose(&g));
         assert_eq!(g, tt, "case {case}");
     }
@@ -56,7 +57,7 @@ fn symmetrized_graph_equals_own_transpose() {
     let mut rng = StdRng::seed_from_u64(0xC5A2);
     for case in 0..CASES {
         let (n, edges) = random_edges(&mut rng);
-        let g = build_csr(n, &edges, BuildOptions { symmetrize: true, ..Default::default() });
+        let g = build_csr(n, edges, BuildOptions { symmetrize: true, ..Default::default() });
         assert_eq!(transpose(&g), g, "case {case}");
     }
 }
@@ -66,7 +67,7 @@ fn cc_equivalent_to_union_find() {
     let mut rng = StdRng::seed_from_u64(0xC5A3);
     for case in 0..CASES {
         let (n, edges) = random_edges(&mut rng);
-        let g = build_csr(n, &edges, BuildOptions { symmetrize: true, ..Default::default() });
+        let g = build_csr(n, edges, BuildOptions { symmetrize: true, ..Default::default() });
         let input = KernelInput::from_symmetric(g);
         let got = cc::connected_components(&input, 0, &mut NullTracer::new());
         let expected = reference::cc_union_find(&input.csr);
@@ -89,7 +90,7 @@ fn sssp_equals_dijkstra() {
     for case in 0..CASES {
         let (n, edges) = random_edges(&mut rng);
         let delta = rng.random_range(1u64..64);
-        let g = build_csr(n, &edges, BuildOptions { symmetrize: true, ..Default::default() });
+        let g = build_csr(n, edges, BuildOptions { symmetrize: true, ..Default::default() });
         let input = KernelInput::from_symmetric(g);
         let src = input.default_source();
         let got = sssp::sssp(&input, 0, src, delta, &mut NullTracer::new());
