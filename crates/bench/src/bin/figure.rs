@@ -9,7 +9,7 @@
 //! The first argument names a row of `gpbench::figures::FIGURES`; the
 //! shared harness flags follow (`--scale`, `--only`, `--manifest`,
 //! `--resume`, `--telemetry`, `--bench-out`, ...), plus any flag the row
-//! declares (`fig14 --mixes N`).
+//! declares (`fig14 --mixes N`, `dram_sweep --channels LIST --system NAME`).
 
 use gpbench::figures::{find, run_figure, FIGURES};
 use gpbench::{usage_exit, HarnessOpts};

@@ -6,16 +6,16 @@
 //! [`run_figure`] drives every such row through
 //! [`crate::sweep::run_sweep`] and [`crate::sweep::render_table`]. Rows
 //! that are not (only) a per-workload table — Tables I–IV, Fig. 3,
-//! Fig. 14, `diag`'s per-point dump and `threshold_sweep`'s summary —
-//! render through one plain function each.
+//! Fig. 14, `diag`'s per-point dump, `threshold_sweep`'s summary and the
+//! flag-driven `dram_sweep` — render through one plain function each.
 
 use crate::sweep::{render_table, run_sweep, speedups, Column, Footer, Value};
 use crate::{finish_sweeps, pct, tagged_path, Flags, HarnessOpts, TextTable};
 use gpgraph::{DegreeStats, GraphInput};
 use gpkernels::Kernel;
 use gpworkloads::{
-    all_workloads, cc_friendster, paper_mixes, MatrixPoint, MulticoreRunner, PointStatus,
-    RegularKind, RunRecord, Runner, SystemKind, SystemSpec, Workload,
+    all_workloads, cc_friendster, find_system, paper_mixes, MatrixPoint, MulticoreRunner,
+    PointStatus, RegularKind, RunRecord, Runner, SystemKind, SystemSpec, Workload,
 };
 use sdclp::{HardwareBudget, LpConfig, Route, SdcConfig, SdcCore, SdcLpConfig, StaticRouter};
 use simcore::config::{PrefetcherKind, ReplacementKind, PAGE_WALK_LATENCY};
@@ -74,8 +74,10 @@ pub struct Ctx<'a> {
 }
 
 /// A render function for a row that is not a plain per-workload table.
-/// An `Err` is a usage error (a bad binary-specific flag value).
-pub type Plain = fn(&Ctx, &[SweepRecords]) -> Result<(), String>;
+/// It returns the records of any sweep it ran itself, which count toward
+/// the exit status. An `Err` is a usage error (a bad row-specific flag
+/// value).
+pub type Plain = fn(&Ctx, &[SweepRecords]) -> Result<Vec<RunRecord>, String>;
 
 /// One paper artifact: a row of [`FIGURES`].
 pub struct Figure {
@@ -121,7 +123,7 @@ pub fn run_figure(fig: &Figure, opts: &HarnessOpts, flags: &Flags) -> Result<Exi
             run_sweep(opts, &runner, sweep.tag, &points, &mopts, bench_out.as_deref()),
         ));
     }
-    match fig.plain {
+    let own = match fig.plain {
         Some(render) => render(&Ctx { fig, opts, flags, runner: &runner }, &sweeps)?,
         None => {
             for (i, (sweep, (width, records))) in fig.sweeps.iter().zip(&sweeps).enumerate() {
@@ -133,9 +135,11 @@ pub fn run_figure(fig: &Figure, opts: &HarnessOpts, flags: &Flags) -> Result<Exi
             }
             println!();
             println!("{}", fig.reference);
+            Vec::new()
         }
-    }
-    let all: Vec<&[RunRecord]> = sweeps.iter().map(|(_, r)| r.as_slice()).collect();
+    };
+    let mut all: Vec<&[RunRecord]> = sweeps.iter().map(|(_, r)| r.as_slice()).collect();
+    all.push(&own);
     Ok(finish_sweeps(&all))
 }
 
@@ -515,9 +519,24 @@ pub static FIGURES: &[Figure] = &[
         plain: Some(diag_dump),
         ..Figure::ROW
     },
+    // Not a paper figure: how much of the memory bottleneck is DRAM
+    // bandwidth? One design across channel counts (`--channels LIST`,
+    // default 1,2,4,8, the first the speedup baseline; `--system NAME`,
+    // default baseline). Section III's premise is that graph workloads
+    // stall on latency, so channels help far less than their cost.
+    Figure {
+        name: "dram_sweep",
+        title: "DRAM channel sweep",
+        reference: "Reading: if adding channels barely moves the speedup while dram-wait stays \
+                    the dominant stall, the bottleneck is memory latency, not bandwidth (Section \
+                    III).",
+        flags: &["--channels", "--system"],
+        plain: Some(dram_sweep),
+        ..Figure::ROW
+    },
 ];
 
-fn table1_config(cx: &Ctx, _: &[SweepRecords]) -> Result<(), String> {
+fn table1_config(cx: &Ctx, _: &[SweepRecords]) -> Result<Vec<RunRecord>, String> {
     let cfg = table1();
     let sdclp = SdcLpConfig::table1();
     println!("{}", cx.fig.title);
@@ -581,10 +600,10 @@ fn table1_config(cx: &Ctx, _: &[SweepRecords]) -> Result<(), String> {
         "DRAM         {} channel(s) x {} banks, tRP=tRCD=tCAS={} bus cycles, bus {} GHz",
         cfg.dram.channels, cfg.dram.banks_per_channel, cfg.dram.t_cas, cfg.dram.bus_clock_ghz
     );
-    Ok(())
+    Ok(Vec::new())
 }
 
-fn table2_kernels(cx: &Ctx, _: &[SweepRecords]) -> Result<(), String> {
+fn table2_kernels(cx: &Ctx, _: &[SweepRecords]) -> Result<Vec<RunRecord>, String> {
     let mut table = TextTable::new(vec![
         "kernel",
         "irregData ElemSz",
@@ -603,10 +622,10 @@ fn table2_kernels(cx: &Ctx, _: &[SweepRecords]) -> Result<(), String> {
     }
     println!("{}", cx.fig.title);
     table.print();
-    Ok(())
+    Ok(Vec::new())
 }
 
-fn table3_graphs(cx: &Ctx, _: &[SweepRecords]) -> Result<(), String> {
+fn table3_graphs(cx: &Ctx, _: &[SweepRecords]) -> Result<Vec<RunRecord>, String> {
     let mut table = TextTable::new(vec![
         "graph",
         "vertices (M)",
@@ -632,10 +651,10 @@ fn table3_graphs(cx: &Ctx, _: &[SweepRecords]) -> Result<(), String> {
     table.print();
     println!();
     println!("{}", cx.fig.reference);
-    Ok(())
+    Ok(Vec::new())
 }
 
-fn table4_budget(cx: &Ctx, _: &[SweepRecords]) -> Result<(), String> {
+fn table4_budget(cx: &Ctx, _: &[SweepRecords]) -> Result<Vec<RunRecord>, String> {
     println!("{}", cx.fig.title);
     print!("{}", HardwareBudget::compute(&SdcLpConfig::table1(), 1).render());
     println!();
@@ -643,10 +662,10 @@ fn table4_budget(cx: &Ctx, _: &[SweepRecords]) -> Result<(), String> {
     println!();
     println!("At 4 cores (sharer vector grows):");
     print!("{}", HardwareBudget::compute(&SdcLpConfig::table1(), 4).render());
-    Ok(())
+    Ok(Vec::new())
 }
 
-fn fig3_stride_profile(cx: &Ctx, _: &[SweepRecords]) -> Result<(), String> {
+fn fig3_stride_profile(cx: &Ctx, _: &[SweepRecords]) -> Result<Vec<RunRecord>, String> {
     let w = cc_friendster();
     let (result, profile) = cx.runner.run_with_stride_profile(w, SystemKind::Baseline);
     let mut table = TextTable::new(vec!["stride bucket", "accesses", "P(DRAM)"]);
@@ -661,10 +680,10 @@ fn fig3_stride_profile(cx: &Ctx, _: &[SweepRecords]) -> Result<(), String> {
     table.print();
     println!();
     println!("{}", cx.fig.reference);
-    Ok(())
+    Ok(Vec::new())
 }
 
-fn fig14_multicore(cx: &Ctx, _: &[SweepRecords]) -> Result<(), String> {
+fn fig14_multicore(cx: &Ctx, _: &[SweepRecords]) -> Result<Vec<RunRecord>, String> {
     let mix_count = cx.flags.number("--mixes", 50usize)?;
     let mc = MulticoreRunner::new(cx.runner);
     let designs = &SystemKind::FIG7[1..];
@@ -692,13 +711,13 @@ fn fig14_multicore(cx: &Ctx, _: &[SweepRecords]) -> Result<(), String> {
     println!();
     println!("SDC+LP maximum: {}", pct(max_sdclp));
     println!("{}", cx.fig.reference);
-    Ok(())
+    Ok(Vec::new())
 }
 
 /// One row per τ_glob: the GAP geomean from the sweep (failure-aware, as
 /// every footer) beside the regular suite's, which runs here outside the
 /// matrix executor.
-fn threshold_summary(cx: &Ctx, sweeps: &[SweepRecords]) -> Result<(), String> {
+fn threshold_summary(cx: &Ctx, sweeps: &[SweepRecords]) -> Result<Vec<RunRecord>, String> {
     let (width, records) = &sweeps[0];
     let runner = cx.runner;
     let mut regular: Vec<Vec<f64>> = vec![Vec::new(); TAUS.len()];
@@ -721,10 +740,10 @@ fn threshold_summary(cx: &Ctx, sweeps: &[SweepRecords]) -> Result<(), String> {
     table.print();
     println!();
     println!("{}", cx.fig.reference);
-    Ok(())
+    Ok(Vec::new())
 }
 
-fn diag_dump(cx: &Ctx, sweeps: &[SweepRecords]) -> Result<(), String> {
+fn diag_dump(cx: &Ctx, sweeps: &[SweepRecords]) -> Result<Vec<RunRecord>, String> {
     let (width, records) = &sweeps[0];
     let opts = cx.opts;
     for row in records.chunks(*width) {
@@ -766,7 +785,68 @@ fn diag_dump(cx: &Ctx, sweeps: &[SweepRecords]) -> Result<(), String> {
             );
         }
     }
-    Ok(())
+    Ok(Vec::new())
+}
+
+/// Dram-wait share of attributed stall cycles across a point's intervals.
+fn dram_wait_share(tel: &simtel::TelemetryOutput) -> Option<f64> {
+    let mut dram_wait = 0u64;
+    let mut total = 0u64;
+    for iv in &tel.intervals {
+        dram_wait += iv.stalls.dram_wait;
+        total += iv.stalls.attributed();
+    }
+    (total > 0).then(|| dram_wait as f64 / total as f64)
+}
+
+/// Per workload and channel count: the speedup over the first channel
+/// count and the dram-wait share of attributed stall cycles.
+fn dram_sweep(cx: &Ctx, _: &[SweepRecords]) -> Result<Vec<RunRecord>, String> {
+    let (opts, runner) = (cx.opts, cx.runner);
+    let channels = cx.flags.list("--channels", vec![1usize, 2, 4, 8])?;
+    let kind = find_system(cx.flags.value("--system").unwrap_or("baseline"))?;
+    // Chunk layout: every workload's channel counts are adjacent, first
+    // entry = speedup baseline.
+    let points: Vec<MatrixPoint> = opts
+        .workloads()
+        .into_iter()
+        .flat_map(|w| channels.iter().map(move |&ch| (w, ch)).collect::<Vec<_>>())
+        .map(|(w, ch)| MatrixPoint::new(w, SystemSpec::kind_with_channels(kind, ch, &runner.sdclp)))
+        .collect();
+
+    // Interval telemetry is the point of this row (the dram-wait column),
+    // so it is always collected; --telemetry only adds files.
+    let mut mopts = opts.matrix_options("dram_sweep");
+    mopts.telemetry.get_or_insert(simtel::TelemetryConfig {
+        interval_instructions: opts.interval.max(1),
+        event_capacity: 0,
+        ..Default::default()
+    });
+    let records = run_sweep(opts, runner, "dram_sweep", &points, &mopts, opts.bench_out.as_deref());
+
+    // Headers live as long as the process, like the rows' static ones.
+    let columns: Vec<Column> = (channels.iter().enumerate())
+        .flat_map(|(i, ch)| {
+            let speedup = format!("{ch}ch speedup").leak();
+            let wait = format!("{ch}ch dram-wait").leak();
+            [
+                Column::new(speedup, i, Value::Ratio, Footer::Geomean),
+                Column::new(wait, i, Value::Telemetry(dram_wait_share), Footer::Blank),
+            ]
+        })
+        .collect();
+    println!(
+        "{}: {} across {:?} channels ({:?} scale, {} workload(s))",
+        cx.fig.title,
+        kind.name(),
+        channels,
+        opts.scale,
+        records.len() / channels.len(),
+    );
+    print!("{}", render_table(&columns, channels.len(), &records));
+    println!();
+    println!("{}", cx.fig.reference);
+    Ok(records)
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 #![forbid(unsafe_code)]
 //! # gpbench — experiment harness
 //!
-//! The `figure` binary regenerates every paper table and figure from one
-//! spec table ([`figures::FIGURES`]); `dram_sweep` and `timeline` are
-//! separate tools over the same plumbing. This library holds the shared
+//! The `figure` binary regenerates every paper table and figure, the
+//! ablations and the DRAM channel sweep from one spec table
+//! ([`figures::FIGURES`]); `timeline` is a separate tool over the same
+//! plumbing. This library holds the shared
 //! command-line handling, the sweep driver and table renderer
 //! ([`sweep`]), and text-table rendering.
 

@@ -1,5 +1,5 @@
 //! The one sweep driver and table renderer behind every workload x system
-//! table: the `figure` rows and `dram_sweep`.
+//! table: the `figure` rows.
 //!
 //! [`run_sweep`] runs a point list through the matrix executor and writes
 //! what the records carry besides the table (per-point telemetry files,

@@ -123,15 +123,20 @@ pub fn betweenness<T: Tracer + ?Sized>(
 }
 
 /// GAP-style deterministic source sample: the `k` highest-degree vertices
-/// (deterministic and guaranteed non-isolated).
+/// (deterministic and guaranteed non-isolated), highest degree first and
+/// ties by ascending id. Selecting them is O(n); only the `k` are sorted.
 pub fn pick_sources(input: &KernelInput, k: usize) -> Vec<VertexId> {
     let g = &input.csr;
-    // Decode each degree once, not at every comparison of the sort.
+    // Decode each degree once, not at every comparison.
     let degree: Vec<usize> = g.degrees().collect();
-    let mut by_degree: Vec<VertexId> = g.vertex_ids().collect();
-    by_degree.sort_by_key(|&v| std::cmp::Reverse(degree[v as usize]));
-    by_degree.truncate(k);
-    by_degree
+    let key = |v: &VertexId| (std::cmp::Reverse(degree[*v as usize]), *v);
+    let mut ids: Vec<VertexId> = g.vertex_ids().collect();
+    if k < ids.len() {
+        ids.select_nth_unstable_by_key(k, key);
+        ids.truncate(k);
+    }
+    ids.sort_unstable_by_key(key);
+    ids
 }
 
 #[cfg(test)]
@@ -169,6 +174,30 @@ mod tests {
         }
         // Path centers dominate.
         assert!(r.centrality[5] > r.centrality[1]);
+    }
+
+    /// The selection yields exactly what a stable sort of the ids by
+    /// descending degree yields, on a graph where most degrees tie.
+    #[test]
+    fn pick_sources_equals_the_stable_sort_under_degree_ties() {
+        // Every vertex has degree 2 (a ring); every 5th also links to
+        // vertex 0, and every 7th to vertex 1.
+        let n = 60u32;
+        let mut edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        edges.extend((2..n).step_by(5).map(|i| (i, 0)));
+        edges.extend((3..n).step_by(7).map(|i| (i, 1)));
+        let g = gpgraph::build_csr(
+            n as usize,
+            edges,
+            gpgraph::BuildOptions { symmetrize: true, ..Default::default() },
+        );
+        let input = KernelInput::from_symmetric(g);
+        let mut stable: Vec<VertexId> = input.csr.vertex_ids().collect();
+        stable.sort_by_key(|&v| std::cmp::Reverse(input.csr.degree(v)));
+        let n = n as usize;
+        for k in [0, 1, 4, n - 1, n, n + 3] {
+            assert_eq!(pick_sources(&input, k), stable[..k.min(n)], "k = {k}");
+        }
     }
 
     #[test]

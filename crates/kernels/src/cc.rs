@@ -108,10 +108,9 @@ mod tests {
     fn partitions_agree(a: &[VertexId], b: &[VertexId]) -> bool {
         // Same partition iff label-equality relations coincide. Check via
         // canonical mapping.
-        use std::collections::HashMap;
-        let mut map: HashMap<(u32, u32), ()> = HashMap::new();
-        let mut fwd: HashMap<u32, u32> = HashMap::new();
-        let mut rev: HashMap<u32, u32> = HashMap::new();
+        use std::collections::BTreeMap;
+        let mut fwd: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut rev: BTreeMap<u32, u32> = BTreeMap::new();
         for (&x, &y) in a.iter().zip(b) {
             match (fwd.get(&x), rev.get(&y)) {
                 (None, None) => {
@@ -122,7 +121,6 @@ mod tests {
                 (_, Some(&xx)) if xx != x => return false,
                 _ => {}
             }
-            map.insert((x, y), ());
         }
         true
     }

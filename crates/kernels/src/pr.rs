@@ -157,14 +157,14 @@ mod tests {
         pagerank(&input, 0, 0.85, 1e-9, 3, &mut rec);
         let trace = rec.finish();
 
-        use std::collections::HashMap;
+        use std::collections::BTreeMap;
         let hinted: Vec<(u64, u32)> = trace
             .events
             .iter()
             .filter(|e| e.is_mem() && e.pc == pc::CONTRIB_GATHER)
             .map(|e| (e.addr, e.next_use))
             .collect();
-        let mut next_seen: HashMap<u64, Vec<u32>> = HashMap::new();
+        let mut next_seen: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
         for (i, (addr, _)) in (0u32..).zip(&hinted) {
             next_seen.entry(*addr).or_default().push(i);
         }

@@ -11,8 +11,9 @@
 //!
 //! ## Clock-free liveness
 //!
-//! The simulator stack bans wall-clock (simlint D2 covers this crate), so
-//! the daemon has no timeouts anywhere: connection reads block, workers
+//! The simulator stack bans wall-clock (the root clippy.toml disallows
+//! `Instant`, `SystemTime` and `Duration` here), so the daemon has no
+//! timeouts anywhere: connection reads block, workers
 //! park on a condvar, and shutdown wakes the blocked `accept()` by
 //! self-connecting to its own socket. The per-point runaway guard is the
 //! executor's deterministic cycle-budget watchdog, not a timer.
@@ -811,7 +812,8 @@ fn run_point(
         shared.results.failed.fetch_add(1, Ordering::Relaxed);
         shared.log(&format!("sweep {sweep}: {wname} on {label} {status}: {}", rec.manifest.error));
     }
-    // simlint::allow(determinism-taint): the daemon's options leave walltime off, so the manifest's only wall-clock field is 0.0.
+    // The daemon's options leave walltime off, so the manifest's only
+    // wall-clock field is 0.0.
     let manifest_json = serde::to_json_string(&rec.manifest);
     if let Some(lease) = lease {
         let cached_point = CachedPoint { manifest: rec.manifest, status: status.clone() };

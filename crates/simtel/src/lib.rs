@@ -14,9 +14,9 @@
 //!   simulated cycles either: telemetry only observes counters the
 //!   simulator already maintains.
 //! * **Deterministic.** Every timestamp is a simulated cycle; nothing in
-//!   this crate reads the wall clock (simlint D2 applies), allocates
-//!   randomness, or iterates a hash-ordered container. Two identical
-//!   runs produce byte-identical telemetry files.
+//!   this crate reads the wall clock (the workspace clippy step bans
+//!   `Instant`), allocates randomness, or iterates a hash-ordered
+//!   container. Two identical runs produce byte-identical telemetry files.
 //! * **Bounded.** The event trace is a ring: when full, the oldest event
 //!   is dropped and counted, so a pathological run cannot exhaust memory.
 //!

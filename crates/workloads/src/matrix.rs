@@ -75,7 +75,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// How a matrix point's memory system is built.
 #[derive(Clone)]
@@ -123,7 +122,7 @@ impl SystemSpec {
     }
 
     /// A named design with its DRAM channel count overridden (the
-    /// channel-count study: `dram_sweep` and simserve submissions with an
+    /// channel-count study: `figure dram_sweep` and simserve submissions with an
     /// explicit `channels` use this). The label is `{name}@{n}ch` and the
     /// config repr embeds the full overridden [`simcore::SystemConfig`],
     /// so points with different channel counts never share a
@@ -859,7 +858,6 @@ impl Runner {
                             );
                         }
                         if let Some(wr) = writer.lock().as_mut() {
-                            // simlint::allow(determinism-taint): serializes the point's manifest; wall_seconds is the only wall-clock field and is gated by opts.walltime.
                             if let Err(e) = wr.submit(i, serde::to_json_string(&rec.manifest)) {
                                 let mut slot = manifest_error.lock();
                                 if slot.is_none() {
@@ -1004,7 +1002,13 @@ impl Runner {
     ) -> RunRecord {
         let w = point.workload;
         let config_hash = hash_config_u64(&point.system.config_repr(self));
-        let started = Instant::now();
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::disallowed_types,
+            reason = "the one sanctioned host-clock read: it feeds only wall_seconds, which \
+                      opts.walltime (off by default and in byte-identity runs) gates to 0.0"
+        )]
+        let started = std::time::Instant::now();
         let (status, result, trace_len, telemetry) = match trace {
             Err(msg) => {
                 (PointStatus::Failed { message: msg.clone() }, SimResult::default(), 0, None)
@@ -1083,7 +1087,6 @@ impl Runner {
         let wall_seconds = started.elapsed().as_secs_f64();
 
         let label = point.system.label();
-        // simlint::allow(determinism-taint): wall_seconds is the one sanctioned wall-clock field; opts.walltime (off by default and in CI byte-identity runs) gates it to 0.0.
         let manifest = RunManifest {
             index,
             workload: w.name(),
@@ -1106,7 +1109,6 @@ impl Runner {
             cycles: result.cycles,
             ipc: result.ipc(),
         };
-        // simlint::allow(determinism-taint): the record embeds the manifest above; its only nondeterministic field is the walltime-gated wall_seconds.
         RunRecord {
             workload: w,
             kind: point.system.kind(),
@@ -1377,7 +1379,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// D1 regression (simlint `unordered-map`): two identical matrix
+    /// Manifest-order regression: two identical matrix
     /// invocations — fresh Runner each, parallel execution, shard maps and
     /// all — must emit byte-identical manifest files, ordering included.
     /// Hash-ordered shard or directory maps anywhere on the result path

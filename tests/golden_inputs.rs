@@ -4,10 +4,11 @@
 //! `golden_sim_results.json` replays a synthetic trace, so it cannot see a
 //! generator or a hinted kernel drift. This test pins, at Small scale, an
 //! FNV-1a checksum of each suite graph (offsets + neighbors) and the
-//! `trace_checksum` of the `pr`, `cc` and `bfs` traces the experiment
-//! runner records on it (`pr` and `cc` carry T-OPT next-use hints, `bfs`
-//! does not). Pure speedups of the generators, the kernels or the oracle
-//! must leave `tests/fixtures/golden_inputs.txt` unchanged.
+//! `trace_checksum` of all six kernels' traces the experiment runner
+//! records on it (`pr` and `cc` carry T-OPT next-use hints, the others do
+//! not). Pure speedups of the generators, the kernels (including `bc`'s
+//! source choice) or the oracle must leave
+//! `tests/fixtures/golden_inputs.txt` unchanged.
 //!
 //! To re-pin after an *intentional* change to a generator or kernel:
 //!     GOLDEN_REGEN=1 cargo test --test golden_inputs
@@ -36,7 +37,9 @@ fn report() -> String {
     for graph in GraphInput::ALL {
         let input = runner.input(graph);
         out.push_str(&format!("graph/{graph}: {:016x}\n", graph_checksum(&input.csr)));
-        for kernel in [Kernel::Pr, Kernel::Cc, Kernel::Bfs] {
+        // `bc`, `tc` and `sssp` follow the first three so the older lines
+        // keep their place in the fixture.
+        for kernel in [Kernel::Pr, Kernel::Cc, Kernel::Bfs, Kernel::Bc, Kernel::Tc, Kernel::Sssp] {
             let w = Workload::new(kernel, graph);
             out.push_str(&format!("trace/{w}: {:016x}\n", trace_checksum(&runner.trace(w))));
             runner.evict_trace(w);

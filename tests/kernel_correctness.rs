@@ -48,7 +48,7 @@ fn cc_partitions_match_union_find_on_every_suite_graph() {
         let result = cc::connected_components(&input, 0, &mut NullTracer::new());
         let expected = reference::cc_union_find(&input.csr);
         // Partitions agree iff the label-pair mapping is a bijection.
-        let mut seen = std::collections::HashMap::new();
+        let mut seen = std::collections::BTreeMap::new();
         for (&a, &b) in result.comp.iter().zip(&expected) {
             let prev = seen.insert(a, b);
             assert!(prev.is_none_or(|p| p == b), "{g}: inconsistent labels");
