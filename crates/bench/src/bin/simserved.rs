@@ -77,9 +77,7 @@ fn main() -> ExitCode {
     }
     // Persist generated graphs across daemon restarts (same cache the
     // batch harness binaries use).
-    if std::env::var_os("GRAPH_CACHE_DIR").is_none() {
-        std::env::set_var("GRAPH_CACHE_DIR", "target/graph-cache");
-    }
+    gpbench::use_graph_cache();
 
     match Daemon::start(cfg) {
         Ok(handle) => {

@@ -7,15 +7,16 @@
 //! [`crate::sweep::run_sweep`] and [`crate::sweep::render_table`]. Rows
 //! that are not (only) a per-workload table — Tables I–IV, Fig. 3,
 //! Fig. 14, `diag`'s per-point dump, `threshold_sweep`'s summary and the
-//! flag-driven `dram_sweep` — render through one plain function each.
+//! flag-driven `dram_sweep` and `timeline` — render through one plain
+//! function each.
 
 use crate::sweep::{render_table, run_sweep, speedups, Column, Footer, Value};
 use crate::{finish_sweeps, pct, tagged_path, Flags, HarnessOpts, TextTable};
 use gpgraph::{DegreeStats, GraphInput};
 use gpkernels::Kernel;
 use gpworkloads::{
-    all_workloads, cc_friendster, find_system, paper_mixes, MatrixPoint, MulticoreRunner,
-    PointStatus, RegularKind, RunRecord, Runner, SystemKind, SystemSpec, Workload,
+    all_workloads, cc_friendster, find_system, find_workload, norm_name, paper_mixes, MatrixPoint,
+    MulticoreRunner, PointStatus, RegularKind, RunRecord, Runner, SystemKind, SystemSpec, Workload,
 };
 use sdclp::{HardwareBudget, LpConfig, Route, SdcConfig, SdcCore, SdcLpConfig, StaticRouter};
 use simcore::config::{PrefetcherKind, ReplacementKind, PAGE_WALK_LATENCY};
@@ -534,6 +535,19 @@ pub static FIGURES: &[Figure] = &[
         plain: Some(dram_sweep),
         ..Figure::ROW
     },
+    // Not a paper figure: one workload on one design with interval
+    // telemetry, as per-interval IPC and L1D-MPKI bars (`--workload NAME`,
+    // default bfs.kron, a unique substring also works; `--system NAME`,
+    // default sdc_lp). `--csv PATH` also writes the table as CSV;
+    // `--interval N` sets the snapshot period and `--telemetry DIR` adds
+    // the JSONL intervals and the Chrome trace-event JSON for Perfetto.
+    Figure {
+        name: "timeline",
+        title: "Per-interval IPC and L1D-MPKI timeline",
+        flags: &["--workload", "--system", "--csv"],
+        plain: Some(timeline),
+        ..Figure::ROW
+    },
 ];
 
 fn table1_config(cx: &Ctx, _: &[SweepRecords]) -> Result<Vec<RunRecord>, String> {
@@ -799,20 +813,29 @@ fn dram_wait_share(tel: &simtel::TelemetryOutput) -> Option<f64> {
     (total > 0).then(|| dram_wait as f64 / total as f64)
 }
 
+/// `dram_sweep`'s design (`--system`, default baseline), channel counts
+/// (`--channels`, default 1,2,4,8) and points: every selected workload
+/// at each count. A workload's counts are adjacent, so each table row is
+/// one chunk and its first entry the speedup baseline.
+pub fn dram_sweep_points(
+    opts: &HarnessOpts,
+    flags: &Flags,
+    sdclp: &SdcLpConfig,
+) -> Result<(SystemKind, Vec<usize>, Vec<MatrixPoint>), String> {
+    let channels = flags.list("--channels", vec![1usize, 2, 4, 8])?;
+    let kind = find_system(flags.value("--system").unwrap_or("baseline"))?;
+    let points = (opts.workloads().into_iter())
+        .flat_map(|w| channels.iter().map(move |&ch| (w, ch)))
+        .map(|(w, ch)| MatrixPoint::new(w, SystemSpec::kind_with_channels(kind, ch, sdclp)))
+        .collect();
+    Ok((kind, channels, points))
+}
+
 /// Per workload and channel count: the speedup over the first channel
 /// count and the dram-wait share of attributed stall cycles.
 fn dram_sweep(cx: &Ctx, _: &[SweepRecords]) -> Result<Vec<RunRecord>, String> {
     let (opts, runner) = (cx.opts, cx.runner);
-    let channels = cx.flags.list("--channels", vec![1usize, 2, 4, 8])?;
-    let kind = find_system(cx.flags.value("--system").unwrap_or("baseline"))?;
-    // Chunk layout: every workload's channel counts are adjacent, first
-    // entry = speedup baseline.
-    let points: Vec<MatrixPoint> = opts
-        .workloads()
-        .into_iter()
-        .flat_map(|w| channels.iter().map(move |&ch| (w, ch)).collect::<Vec<_>>())
-        .map(|(w, ch)| MatrixPoint::new(w, SystemSpec::kind_with_channels(kind, ch, &runner.sdclp)))
-        .collect();
+    let (kind, channels, points) = dram_sweep_points(opts, cx.flags, &runner.sdclp)?;
 
     // Interval telemetry is the point of this row (the dram-wait column),
     // so it is always collected; --telemetry only adds files.
@@ -847,6 +870,59 @@ fn dram_sweep(cx: &Ctx, _: &[SweepRecords]) -> Result<Vec<RunRecord>, String> {
     println!();
     println!("{}", cx.fig.reference);
     Ok(records)
+}
+
+/// One workload on one design with interval telemetry: the ASCII
+/// timeline on stdout, plus the CSV table and the telemetry files when
+/// asked for.
+fn timeline(cx: &Ctx, _: &[SweepRecords]) -> Result<Vec<RunRecord>, String> {
+    let (opts, flags) = (cx.opts, cx.flags);
+    let workload = find_workload(flags.value("--workload").unwrap_or("bfs.kron"))?;
+    let kind = find_system(flags.value("--system").unwrap_or("sdc_lp"))?;
+    // The timeline is the point of this row, so telemetry is always
+    // collected; --telemetry only adds the file outputs.
+    let cfg = simtel::TelemetryConfig {
+        interval_instructions: opts.interval.max(1),
+        ..Default::default()
+    };
+    let (result, output) = cx.runner.run_one_with_telemetry(workload, kind, &cfg);
+
+    println!(
+        "timeline: {} on {} ({:?} scale, interval {} instrs, {} snapshot(s))",
+        workload.name(),
+        kind.name(),
+        opts.scale,
+        cfg.interval_instructions,
+        output.intervals.len()
+    );
+    println!(
+        "window: {} instrs in {} cycles (IPC {:.3})",
+        result.instructions,
+        result.cycles,
+        result.ipc()
+    );
+    println!();
+    print!("{}", simtel::render::ascii_timeline(&output.intervals));
+
+    let fail = |what: String, e: std::io::Error| -> ! {
+        eprintln!("error: writing {what}: {e}");
+        std::process::exit(1)
+    };
+    if let Some(path) = flags.value("--csv").map(std::path::Path::new) {
+        if let Some(dir) = path.parent() {
+            let _ = std::fs::create_dir_all(dir);
+        }
+        let csv = simtel::render::csv_timeline(&output.intervals);
+        std::fs::write(path, csv).unwrap_or_else(|e| fail(path.display().to_string(), e));
+        println!("\nwrote {}", path.display());
+    }
+    if opts.telemetry.is_some() {
+        let point = format!("{}.{}", workload.name(), norm_name(kind.name()));
+        opts.write_telemetry(&point, &output)
+            .unwrap_or_else(|e| fail(format!("telemetry for {point}"), e));
+        println!("wrote telemetry files for {point}");
+    }
+    Ok(Vec::new())
 }
 
 #[cfg(test)]

@@ -2,10 +2,9 @@
 //! # gpbench — experiment harness
 //!
 //! The `figure` binary regenerates every paper table and figure, the
-//! ablations and the DRAM channel sweep from one spec table
-//! ([`figures::FIGURES`]); `timeline` is a separate tool over the same
-//! plumbing. This library holds the shared
-//! command-line handling, the sweep driver and table renderer
+//! ablations, the DRAM channel sweep and the per-interval `timeline` view
+//! from one spec table ([`figures::FIGURES`]). This library holds the
+//! shared command-line handling, the sweep driver and table renderer
 //! ([`sweep`]), and text-table rendering.
 
 pub mod figures;
@@ -166,11 +165,7 @@ impl HarnessOpts {
     }
 
     pub fn runner(&self) -> Runner {
-        // Persist generated graphs across harness binaries (safe to
-        // delete; regenerated deterministically on demand).
-        if std::env::var_os("GRAPH_CACHE_DIR").is_none() {
-            std::env::set_var("GRAPH_CACHE_DIR", "target/graph-cache");
-        }
+        use_graph_cache();
         Runner::new(self.scale, self.window)
     }
 
@@ -245,6 +240,15 @@ impl HarnessOpts {
             dir.join(format!("{point}.trace.json")),
             simtel::export::chrome_trace(output),
         )
+    }
+}
+
+/// Persist generated suite graphs across processes under
+/// `target/graph-cache`, unless `GRAPH_CACHE_DIR` already names a
+/// directory. Safe to delete: graphs regenerate deterministically.
+pub fn use_graph_cache() {
+    if std::env::var_os("GRAPH_CACHE_DIR").is_none() {
+        std::env::set_var("GRAPH_CACHE_DIR", "target/graph-cache");
     }
 }
 

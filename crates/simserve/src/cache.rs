@@ -7,28 +7,30 @@
 //! (`workload|system|config_hash|scale|warmup|measure|skip|
 //! trace_checksum` — see `RunManifest::resume_key`), so "would batch
 //! resume reuse this record?" and "does the daemon serve this from
-//! cache?" are the same question. Lookup is *single-flight*: the first
-//! claimant of a key gets a [`PointLease`] obliging it to simulate;
-//! every concurrent claimant blocks on the cell until the lease is
-//! fulfilled and then reads the finished record. Two clients racing on
-//! an identical point therefore simulate it exactly once — the property
-//! `cache-stats` counters expose (`points_simulated == result_misses`).
+//! cache?" are the same question. Each key holds one of the runner's
+//! single-flight cells (`gpworkloads::runner::Cell`): the first claimant
+//! simulates inside the cell's `get_or_init`, and every concurrent
+//! claimant blocks on the cell and then reads the finished record. Two
+//! clients racing on an identical point therefore simulate it exactly
+//! once — the property `cache-stats` counters expose
+//! (`points_simulated == result_misses`). A claimant whose run panics
+//! leaves the cell empty, and a waiter takes over the run.
 //!
-//! Failures are *not* cached: a lease fulfilled with a failed record
-//! serves that failure to the claimants already waiting (they should not
-//! re-run a point that just panicked under them), but the cell is
-//! removed, so a later resubmission retries instead of being poisoned
-//! forever.
+//! Failures are *not* cached: the claimant that ran a failed point
+//! unlinks its cell, so the failure reaches the claimants already
+//! waiting on that cell (they should not re-run a point that just failed
+//! under them), while a later resubmission retries instead of being
+//! poisoned forever.
 
 use gpgraph::SuiteScale;
 use gpworkloads::matrix::RunManifest;
+use gpworkloads::runner::Cells;
 use gpworkloads::Runner;
 use parking_lot::Mutex;
 use simcore::Window;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 
 /// One [`Runner`] per (scale, window, skip) class. Every submission in
 /// the same class shares one runner. Classes share graphs at one scale,
@@ -69,102 +71,16 @@ impl RunnerPool {
     }
 }
 
-/// A completed point as the cache stores it. The manifest's `index` is
-/// meaningless here (it belongs to whichever submission ran first);
-/// serving code rewrites it per request.
-#[derive(Clone)]
-pub struct CachedPoint {
-    pub manifest: RunManifest,
-    /// `ok`, `failed`, or `timed_out`.
-    pub status: String,
-}
-
-enum CellState {
-    /// A lease holder is simulating; wait on the condvar.
-    Running,
-    /// Done — serve this forever.
-    Ready(CachedPoint),
-    /// The run failed. `Some` serves the failure record to claimants that
-    /// were already waiting; the cell is unlinked from the map, so fresh
-    /// claims retry. `None` means the lease was abandoned (its worker
-    /// died before reporting) — waiters must retry from scratch.
-    Failed(Option<CachedPoint>),
-}
-
-struct PointCell {
-    state: StdMutex<CellState>,
-    cv: Condvar,
-}
-
-fn lock_cell(cell: &PointCell) -> MutexGuard<'_, CellState> {
-    // The simulating thread cannot panic while holding this lock (it only
-    // stores finished values), so poison recovery is safe.
-    cell.state.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// What a cache lookup resolved to.
-pub enum Claim {
-    /// Warm: a finished record (possibly a just-failed one from a
-    /// concurrent lease — check `status`). No simulation may run.
-    /// Boxed: a `CachedPoint` carries a full manifest, dwarfing the
-    /// lease variant.
-    Hit(Box<CachedPoint>),
-    /// Cold: the caller owns the simulation and must call
-    /// [`PointLease::fulfil`] or [`PointLease::fail`].
-    Lease(PointLease),
-}
-
-/// The single-flight obligation handed to the first claimant of a key.
-/// Dropping it without fulfilling wakes waiters into a retry (no
-/// deadlock), but well-behaved callers always report.
-pub struct PointLease {
-    cache: Arc<ResultCache>,
-    key: String,
-    cell: Arc<PointCell>,
-    done: bool,
-}
-
-impl PointLease {
-    /// Publish a successful record; waiters and all future claims hit.
-    pub fn fulfil(mut self, point: CachedPoint) {
-        self.done = true;
-        *lock_cell(&self.cell) = CellState::Ready(point);
-        self.cell.cv.notify_all();
-    }
-
-    /// Report a failed run: current waiters receive `point`, the cell is
-    /// unlinked so future claims retry.
-    pub fn fail(mut self, point: CachedPoint) {
-        self.done = true;
-        self.cache.unlink(&self.key, &self.cell);
-        *lock_cell(&self.cell) = CellState::Failed(Some(point));
-        self.cell.cv.notify_all();
-    }
-
-    fn abandon(&mut self) {
-        self.done = true;
-        self.cache.unlink(&self.key, &self.cell);
-        *lock_cell(&self.cell) = CellState::Failed(None);
-        self.cell.cv.notify_all();
-    }
-}
-
-impl Drop for PointLease {
-    fn drop(&mut self) {
-        if !self.done {
-            self.abandon();
-        }
-    }
-}
-
 /// The process-wide result cache plus its audit counters.
 #[derive(Default)]
 pub struct ResultCache {
-    cells: Mutex<BTreeMap<String, Arc<PointCell>>>,
-    /// Claims served from a finished cell (including waiters that piggy-
-    /// backed on a concurrent lease).
+    /// One cell per resume key. A cell's manifest `index` belongs to
+    /// whichever submission ran it first; serving code rewrites it.
+    cells: Cells<String, RunManifest>,
+    /// Claims served from a filled cell (including waiters that piggy-
+    /// backed on a concurrent run).
     pub hits: AtomicU64,
-    /// Claims that took a lease (each obliges one simulation).
+    /// Claims that ran the point (each is one simulation).
     pub misses: AtomicU64,
     /// Points that actually replayed on an engine.
     pub simulated: AtomicU64,
@@ -177,72 +93,42 @@ impl ResultCache {
         ResultCache::default()
     }
 
-    /// Resolve `key` to a warm record or a lease (single-flight; blocks
-    /// while a concurrent lease holder simulates the same key).
-    pub fn claim(self: &Arc<Self>, key: &str) -> Claim {
-        loop {
-            let (cell, leased) = {
-                let mut guard = self.cells.lock();
-                match guard.get(key) {
-                    Some(cell) => (Arc::clone(cell), false),
-                    None => {
-                        let cell = Arc::new(PointCell {
-                            state: StdMutex::new(CellState::Running),
-                            cv: Condvar::new(),
-                        });
-                        guard.insert(key.to_string(), Arc::clone(&cell));
-                        (cell, true)
-                    }
-                }
-            };
-            if leased {
+    /// The record under `key`. The first claimant runs `run` (a miss);
+    /// concurrent claimants block until it finishes and read its record
+    /// (hits). A record whose status is not `ok` reaches those waiters but
+    /// is unlinked, so the next claim runs again. If `run` panics, the
+    /// panic propagates and the key stays claimable.
+    pub fn get_or_run(&self, key: &str, run: impl FnOnce() -> RunManifest) -> RunManifest {
+        let cell = Arc::clone(self.cells.lock().entry(key.to_string()).or_default());
+        let mut ran = false;
+        let manifest = cell
+            .get_or_init(|| {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                return Claim::Lease(PointLease {
-                    cache: Arc::clone(self),
-                    key: key.to_string(),
-                    cell,
-                    done: false,
-                });
-            }
-            let mut state = lock_cell(&cell);
-            loop {
-                match &*state {
-                    CellState::Ready(point) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Claim::Hit(Box::new(point.clone()));
-                    }
-                    CellState::Failed(Some(point)) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Claim::Hit(Box::new(point.clone()));
-                    }
-                    CellState::Failed(None) => break,
-                    CellState::Running => {
-                        state = cell.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-                    }
-                }
-            }
-            // Abandoned lease: fall through and re-claim from scratch.
+                ran = true;
+                run()
+            })
+            .clone();
+        if !ran {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        } else if manifest.status != "ok" {
+            // Only the claimant that filled a cell unlinks it, so `key`
+            // still names this one.
+            self.cells.lock().remove(key);
         }
+        manifest
     }
 
-    /// Finished entries resident (a running lease counts until it fails).
+    /// Cells resident (a running point counts until it fails).
     pub fn entries(&self) -> usize {
         self.cells.lock().len()
-    }
-
-    /// Remove `cell` from the map if it is still the one under `key`
-    /// (a retry may have installed a fresh cell already).
-    fn unlink(&self, key: &str, cell: &Arc<PointCell>) {
-        let mut guard = self.cells.lock();
-        if guard.get(key).is_some_and(|current| Arc::ptr_eq(current, cell)) {
-            guard.remove(key);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Barrier;
 
     fn manifest(status: &str) -> RunManifest {
         RunManifest {
@@ -267,107 +153,106 @@ mod tests {
         }
     }
 
-    fn point(status: &str) -> CachedPoint {
-        CachedPoint { manifest: manifest(status), status: status.into() }
+    fn counts(cache: &ResultCache) -> (u64, u64) {
+        (cache.misses.load(Ordering::Relaxed), cache.hits.load(Ordering::Relaxed))
+    }
+
+    /// Spin until `holders` references to `key`'s cell exist: the map's,
+    /// the running claimant's and one per claimant that has taken the cell
+    /// and will block on it. Gives up after ten million yields, so a cache
+    /// that hands claimants different cells fails the test's assertions
+    /// instead of hanging it.
+    fn wait_for_holders(cache: &ResultCache, key: &str, holders: usize) {
+        for _ in 0..10_000_000 {
+            if cache.cells.lock().get(key).map_or(0, Arc::strong_count) >= holders {
+                return;
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// A run that signals `started`, then holds its cell until `release`.
+    fn held_run<T>(started: &Barrier, release: &Barrier, then: impl FnOnce() -> T) -> T {
+        started.wait();
+        release.wait();
+        then()
     }
 
     #[test]
-    fn first_claim_leases_then_everyone_hits() {
-        let cache = Arc::new(ResultCache::new());
-        match cache.claim("k") {
-            Claim::Lease(lease) => lease.fulfil(point("ok")),
-            Claim::Hit(_) => panic!("cold cache cannot hit"),
-        }
-        match cache.claim("k") {
-            Claim::Hit(p) => assert_eq!(p.status, "ok"),
-            Claim::Lease(_) => panic!("warm cache cannot lease"),
-        }
-        assert_eq!(cache.misses.load(Ordering::Relaxed), 1);
-        assert_eq!(cache.hits.load(Ordering::Relaxed), 1);
+    fn first_claim_simulates_then_everyone_hits() {
+        let cache = ResultCache::new();
+        assert_eq!(cache.get_or_run("k", || manifest("ok")).status, "ok");
+        let hit = cache.get_or_run("k", || panic!("a warm key must not run"));
+        assert_eq!(hit.status, "ok");
+        assert_eq!(counts(&cache), (1, 1));
         assert_eq!(cache.entries(), 1);
     }
 
     #[test]
     fn concurrent_claims_on_one_key_simulate_exactly_once() {
-        let cache = Arc::new(ResultCache::new());
-        let lease = match cache.claim("k") {
-            Claim::Lease(l) => l,
-            Claim::Hit(_) => panic!("cold cache cannot hit"),
+        let cache = ResultCache::new();
+        let runs = AtomicU64::new(0);
+        let run = || {
+            runs.fetch_add(1, Ordering::Relaxed);
+            manifest("ok")
         };
-        // Ten racing claimants block on the running lease.
-        let waiters: Vec<_> = (0..10)
-            .map(|_| {
-                let cache = Arc::clone(&cache);
-                std::thread::spawn(move || match cache.claim("k") {
-                    Claim::Hit(p) => p.status,
-                    Claim::Lease(_) => "LEASED".to_string(),
-                })
-            })
-            .collect();
-        lease.fulfil(point("ok"));
-        for w in waiters {
-            assert_eq!(w.join().map_err(|_| "waiter panicked"), Ok("ok".to_string()));
-        }
-        assert_eq!(cache.misses.load(Ordering::Relaxed), 1, "one lease total");
-        assert_eq!(cache.hits.load(Ordering::Relaxed), 10, "every waiter hit");
+        let (started, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            let first = s.spawn(|| cache.get_or_run("k", || held_run(&started, &release, run)));
+            started.wait();
+            // Ten racing claimants block on the running cell.
+            let waiters: Vec<_> = (0..10).map(|_| s.spawn(|| cache.get_or_run("k", run))).collect();
+            wait_for_holders(&cache, "k", 12);
+            release.wait();
+            for claim in std::iter::once(first).chain(waiters) {
+                assert_eq!(claim.join().expect("claimant panicked").status, "ok");
+            }
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "one simulation");
+        assert_eq!(counts(&cache), (1, 10), "one miss, every waiter hit");
     }
 
     #[test]
     fn failures_serve_waiters_but_are_not_cached() {
-        let cache = Arc::new(ResultCache::new());
-        let lease = match cache.claim("k") {
-            Claim::Lease(l) => l,
-            Claim::Hit(_) => panic!("cold cache cannot hit"),
-        };
-        let waiter = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || match cache.claim("k") {
-                Claim::Hit(p) => p.status,
-                Claim::Lease(_) => "LEASED".to_string(),
-            })
-        };
-        // Spin until the waiter's claim has cloned the cell out of the
-        // map (map + lease + waiter = 3 refs). From that point the
-        // interleaving is benign: whether the waiter parks before or
-        // after the fail, the cell it holds shows `Failed(Some)`.
-        while Arc::strong_count(&lease.cell) < 3 {
-            std::thread::yield_now();
-        }
-        lease.fail(point("failed"));
-        assert_eq!(waiter.join().map_err(|_| "waiter panicked"), Ok("failed".to_string()));
-        // A fresh claim retries (the failure was not cached).
-        match cache.claim("k") {
-            Claim::Lease(l) => l.fulfil(point("ok")),
-            Claim::Hit(_) => panic!("failure must not be cached"),
-        }
-        assert_eq!(cache.misses.load(Ordering::Relaxed), 2);
+        let cache = ResultCache::new();
+        let (started, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                cache.get_or_run("k", || held_run(&started, &release, || manifest("failed")))
+            });
+            started.wait();
+            let waiter = s.spawn(|| cache.get_or_run("k", || manifest("waiter ran")));
+            wait_for_holders(&cache, "k", 3);
+            release.wait();
+            assert_eq!(first.join().expect("claimant panicked").status, "failed");
+            let waited = waiter.join().expect("waiter panicked");
+            assert_eq!(waited.status, "failed", "the failure reached the blocked waiter");
+        });
+        assert_eq!(cache.entries(), 0, "the failure was unlinked");
+        assert_eq!(cache.get_or_run("k", || manifest("ok")).status, "ok", "a later claim runs");
+        assert_eq!(counts(&cache), (2, 1));
     }
 
     #[test]
-    fn abandoned_lease_wakes_waiters_into_retry() {
-        let cache = Arc::new(ResultCache::new());
-        let lease = match cache.claim("k") {
-            Claim::Lease(l) => l,
-            Claim::Hit(_) => panic!("cold cache cannot hit"),
-        };
-        let waiter = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || match cache.claim("k") {
-                Claim::Lease(l) => {
-                    l.fulfil(point("ok"));
-                    "retried-and-ran".to_string()
-                }
-                Claim::Hit(p) => format!("hit-{}", p.status),
-            })
-        };
-        drop(lease); // worker died without reporting
-        let outcome = waiter.join().map_err(|_| "waiter panicked");
-        // The waiter either re-claimed (if it was parked) or hit the
-        // retried cell; both mean no deadlock and a usable record.
-        assert!(
-            outcome == Ok("retried-and-ran".to_string()) || outcome == Ok("hit-ok".to_string()),
-            "unexpected outcome {outcome:?}"
-        );
+    fn a_panicking_run_leaves_the_key_for_the_next_claimant() {
+        let cache = ResultCache::new();
+        let (started, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    cache.get_or_run("k", || held_run(&started, &release, || panic!("worker died")))
+                }))
+            });
+            started.wait();
+            let waiter = s.spawn(|| cache.get_or_run("k", || manifest("ok")));
+            wait_for_holders(&cache, "k", 3);
+            release.wait();
+            assert!(first.join().expect("caught").is_err(), "the panic reaches its claimant");
+            let waited = waiter.join().expect("waiter panicked");
+            assert_eq!(waited.status, "ok", "the blocked waiter ran the point");
+        });
+        assert_eq!(cache.get_or_run("k", || panic!("cached")).status, "ok");
+        assert_eq!(counts(&cache), (2, 1));
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! ## Scheduling
 //!
-//! A submission is split into *shards* — one per workload, preserving
-//! first-appearance order, exactly like the batch matrix executor — so a
-//! shard's points share one trace recording. Shards feed a round-robin
-//! queue across sweeps: each worker pops the next shard of the
+//! A submission is split into *shards* by the batch executor's own
+//! `matrix::shard_by_workload` — one per workload, in first-appearance
+//! order — so a shard's points share one trace recording. Shards feed a
+//! round-robin queue across sweeps: each worker pops the next shard of the
 //! least-recently-served sweep, so one client's 36-point suite cannot
 //! starve another client's 2-point probe (concurrent-client fairness).
 //!
@@ -25,13 +25,13 @@
 //! clients' streams all survive. A client that vanishes mid-stream only
 //! cancels its own sweep's undispatched shards.
 
-use crate::cache::{CachedPoint, Claim, ResultCache, RunnerPool};
+use crate::cache::{ResultCache, RunnerPool};
 use crate::proto::{
     self, send_response, CacheStatsMsg, ErrorCode, PointSpec, RecordMsg, Request, Response,
     StatusMsg, SubmitSpec, SweepSummary,
 };
 use gpgraph::SuiteScale;
-use gpworkloads::matrix::{MatrixOptions, MatrixPoint, SystemSpec, Watchdog};
+use gpworkloads::matrix::{shard_by_workload, MatrixOptions, MatrixPoint, SystemSpec, Watchdog};
 use gpworkloads::singlecore::Workload;
 use gpworkloads::{find_scale, find_system, find_workload, Runner};
 use simcore::Window;
@@ -123,9 +123,7 @@ struct ResolvedPoint {
 
 /// A worker work unit: the points of one sweep sharing one workload
 /// (hence one trace recording).
-struct Shard {
-    points: Vec<ResolvedPoint>,
-}
+type Shard = Vec<ResolvedPoint>;
 
 enum SweepEvent {
     Record(RecordMsg),
@@ -168,7 +166,7 @@ struct Shared {
     /// Checkpoint store over `cfg.state_dir`, shared by every worker.
     store: Option<simstate::CheckpointStore>,
     runners: RunnerPool,
-    results: Arc<ResultCache>,
+    results: ResultCache,
     stale_reaped: AtomicU64,
     sched: Mutex<Sched>,
     /// Wakes workers when shards arrive or the daemon stops.
@@ -264,7 +262,7 @@ impl Daemon {
             workers: u32::try_from(workers).unwrap_or(u32::MAX),
             store: cfg.state_dir.as_ref().map(simstate::CheckpointStore::new),
             runners: RunnerPool::new(),
-            results: Arc::new(ResultCache::new()),
+            results: ResultCache::new(),
             stale_reaped: AtomicU64::new(0),
             sched: Mutex::new(Sched {
                 next_sweep: 1,
@@ -451,7 +449,7 @@ fn handle_submit(
             return send_response(stream, &Response::Error { code: ErrorCode::QueueFull, detail });
         }
     };
-    let shards = shard_points(resolved);
+    let shards = shard_by_workload(resolved, |p| p.workload).into_iter().map(|(_, s)| s).collect();
     let (tx, rx) = mpsc::channel();
 
     let sweep = {
@@ -556,31 +554,12 @@ fn resolve_system(shared: &Shared, p: &PointSpec) -> Result<ResolvedSystem, Stri
     })
 }
 
-/// Group points into per-workload shards, preserving first-appearance
-/// order (the batch executor's sharding, so trace recordings are shared
-/// identically).
-fn shard_points(points: Vec<ResolvedPoint>) -> VecDeque<Shard> {
-    let mut order: Vec<Workload> = Vec::new();
-    let mut groups: BTreeMap<String, Vec<ResolvedPoint>> = BTreeMap::new();
-    for p in points {
-        let name = p.workload.name();
-        if !groups.contains_key(&name) {
-            order.push(p.workload);
-        }
-        groups.entry(name).or_default().push(p);
-    }
-    order
-        .into_iter()
-        .filter_map(|w| groups.remove(&w.name()).map(|points| Shard { points }))
-        .collect()
-}
-
 /// Drop a sweep whose client vanished: undispatched shards are removed;
 /// points already running on workers finish and discover the sweep gone.
 fn cancel_sweep(shared: &Shared, sweep: u64) {
     let mut s = lock_sched(shared);
     if let Some(st) = s.sweeps.remove(&sweep) {
-        let undispatched: usize = st.shards.iter().map(|sh| sh.points.len()).sum();
+        let undispatched: usize = st.shards.iter().map(Vec::len).sum();
         s.queued_points = s.queued_points.saturating_sub(undispatched as u64);
         s.rr.retain(|id| *id != sweep);
         shared.log(&format!("sweep {sweep}: cancelled ({undispatched} point(s) unstarted)"));
@@ -655,7 +634,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             }),
             ..MatrixOptions::quiet()
         };
-        for point in shard.points {
+        for point in shard {
             let (rec, class) = run_point(shared, &runner, &opts, sweep, point);
             finish_point(shared, sweep, rec, class);
         }
@@ -761,80 +740,64 @@ fn run_point(
     point: ResolvedPoint,
 ) -> (RecordMsg, PointClass) {
     let mp = MatrixPoint::new(point.workload, build_system_spec(&point, runner));
-    let label = mp.system.label();
-    let wname = point.workload.name();
     let index = point.index as usize;
+    let record = |manifest: &gpworkloads::RunManifest, cached, intervals_jsonl| RecordMsg {
+        sweep,
+        index: point.index,
+        workload: point.workload.name(),
+        system: manifest.system.clone(),
+        status: manifest.status.clone(),
+        cached,
+        // The daemon's options leave walltime off, so the manifest's only
+        // wall-clock field is 0.0.
+        manifest_json: serde::to_json_string(manifest),
+        intervals_jsonl,
+    };
 
     // The cache key needs the trace checksum, which the runner hashes
     // once per recording. A panicking trace recording skips the cache;
     // the executor turns it into a `failed` record.
     let trace = runner.matrix_trace(point.workload);
-    let key = trace
-        .as_ref()
-        .ok()
-        .map(|(_, sum)| runner.point_resume_key(&mp, &mp.system.config_hash(runner), *sum));
-
-    let lease = match key {
-        Some(ref key) => match shared.results.claim(key) {
-            Claim::Hit(cached) => {
-                let mut manifest = cached.manifest;
-                manifest.index = index;
-                let rec = RecordMsg {
-                    sweep,
-                    index: point.index,
-                    workload: wname,
-                    system: label,
-                    status: cached.status.clone(),
-                    cached: true,
-                    manifest_json: serde::to_json_string(&manifest),
-                    // Interval history is not cached; re-run against a
-                    // fresh daemon to collect telemetry.
-                    intervals_jsonl: String::new(),
-                };
-                return (rec, PointClass::Cached);
-            }
-            Claim::Lease(lease) => Some(lease),
-        },
-        None => None,
+    let simulate = || {
+        let rec = runner.run_matrix_point(&mp, index, &trace, opts, shared.store.as_ref());
+        shared.results.simulated.fetch_add(1, Ordering::Relaxed);
+        if !rec.is_ok() {
+            shared.results.failed.fetch_add(1, Ordering::Relaxed);
+            let m = &rec.manifest;
+            shared.log(&format!(
+                "sweep {sweep}: {} on {} {}: {}",
+                m.workload, m.system, m.status, m.error
+            ));
+        }
+        rec
     };
-
-    let rec = runner.run_matrix_point(&mp, index, &trace, opts, shared.store.as_ref());
-    let status = rec.manifest.status.clone();
+    let rec = match &trace {
+        Err(_) => simulate(),
+        Ok((_, sum)) => {
+            let mut ran = None;
+            let key = runner.point_resume_key(&mp, *sum);
+            let mut manifest = shared.results.get_or_run(&key, || {
+                let rec = simulate();
+                let manifest = rec.manifest.clone();
+                ran = Some(rec);
+                manifest
+            });
+            let Some(rec) = ran else {
+                manifest.index = index;
+                // Interval history is not cached; re-run against a fresh
+                // daemon to collect telemetry.
+                return (record(&manifest, true, String::new()), PointClass::Cached);
+            };
+            rec
+        }
+    };
     let intervals_jsonl = rec
         .telemetry
         .as_ref()
         .map(|t| simtel::export::intervals_jsonl(&t.intervals))
         .unwrap_or_default();
-
-    shared.results.simulated.fetch_add(1, Ordering::Relaxed);
-    let ok = rec.is_ok();
-    if !ok {
-        shared.results.failed.fetch_add(1, Ordering::Relaxed);
-        shared.log(&format!("sweep {sweep}: {wname} on {label} {status}: {}", rec.manifest.error));
-    }
-    // The daemon's options leave walltime off, so the manifest's only
-    // wall-clock field is 0.0.
-    let manifest_json = serde::to_json_string(&rec.manifest);
-    if let Some(lease) = lease {
-        let cached_point = CachedPoint { manifest: rec.manifest, status: status.clone() };
-        if ok {
-            lease.fulfil(cached_point);
-        } else {
-            lease.fail(cached_point);
-        }
-    }
-
-    let rec = RecordMsg {
-        sweep,
-        index: point.index,
-        workload: wname,
-        system: label,
-        status,
-        cached: false,
-        manifest_json,
-        intervals_jsonl,
-    };
-    (rec, if ok { PointClass::Ok } else { PointClass::Failed })
+    let class = if rec.is_ok() { PointClass::Ok } else { PointClass::Failed };
+    (record(&rec.manifest, false, intervals_jsonl), class)
 }
 
 fn build_system_spec(point: &ResolvedPoint, runner: &Runner) -> SystemSpec {

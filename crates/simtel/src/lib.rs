@@ -375,10 +375,11 @@ impl TelemetryInterval {
 }
 
 // ---------------------------------------------------------------------------
-// Sink
+// Collector
 // ---------------------------------------------------------------------------
 
-/// Everything collected by a sink, drained at end of run.
+/// Everything an enabled [`TelemetryHandle`] collected, drained at end of
+/// run.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryOutput {
     pub intervals: Vec<TelemetryInterval>,
@@ -389,23 +390,7 @@ pub struct TelemetryOutput {
     pub filtered_events: u64,
 }
 
-/// Where telemetry flows. The default methods are no-ops, so a sink can
-/// implement only what it consumes; [`NullSink`] implements nothing.
-pub trait TelemetrySink: Send {
-    fn interval(&mut self, _interval: &TelemetryInterval) {}
-    fn event(&mut self, _event: &TelemetryEvent) {}
-    /// Drain whatever the sink collected. `None` for streaming sinks.
-    fn take_output(&mut self) -> Option<TelemetryOutput> {
-        None
-    }
-}
-
-/// The no-op sink: every hook call vanishes.
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {}
-
-/// Collection parameters for [`Collector`] / [`TelemetryHandle::collector`].
+/// Collection parameters for [`TelemetryHandle::collector`].
 #[derive(Debug, Clone, Copy)]
 pub struct TelemetryConfig {
     /// Snapshot cadence in traced instructions.
@@ -426,22 +411,21 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// The standard in-memory sink: stores every interval, rings events.
-pub struct Collector {
+/// Where an enabled handle's telemetry flows: stores every interval,
+/// rings events.
+struct Collector {
     intervals: Vec<TelemetryInterval>,
     ring: EventRing,
 }
 
 impl Collector {
-    pub fn new(cfg: &TelemetryConfig) -> Self {
+    fn new(cfg: &TelemetryConfig) -> Self {
         Collector {
             intervals: Vec::new(),
             ring: EventRing::new(cfg.event_capacity, cfg.min_severity),
         }
     }
-}
 
-impl TelemetrySink for Collector {
     fn interval(&mut self, interval: &TelemetryInterval) {
         self.intervals.push(*interval);
     }
@@ -450,13 +434,14 @@ impl TelemetrySink for Collector {
         self.ring.push(*event);
     }
 
-    fn take_output(&mut self) -> Option<TelemetryOutput> {
-        Some(TelemetryOutput {
+    /// Drain everything collected so far.
+    fn take_output(&mut self) -> TelemetryOutput {
+        TelemetryOutput {
             intervals: std::mem::take(&mut self.intervals),
             events: self.ring.drain(),
             dropped_events: self.ring.dropped,
             filtered_events: self.ring.filtered,
-        })
+        }
     }
 }
 
@@ -469,7 +454,7 @@ impl TelemetrySink for Collector {
 /// costs one branch per hook call.
 #[derive(Clone, Default)]
 pub struct TelemetryHandle {
-    sink: Option<Arc<Mutex<Box<dyn TelemetrySink>>>>,
+    sink: Option<Arc<Mutex<Collector>>>,
     /// Stamped onto events emitted through this handle.
     core: u32,
     interval_instructions: u64,
@@ -491,17 +476,12 @@ impl TelemetryHandle {
         TelemetryHandle::default()
     }
 
-    /// A handle backed by an in-memory [`Collector`].
+    /// A handle that collects intervals and rings events in memory.
     pub fn collector(cfg: &TelemetryConfig) -> Self {
-        TelemetryHandle::with_sink(Box::new(Collector::new(cfg)), cfg.interval_instructions)
-    }
-
-    /// A handle backed by an arbitrary sink.
-    pub fn with_sink(sink: Box<dyn TelemetrySink>, interval_instructions: u64) -> Self {
         TelemetryHandle {
-            sink: Some(Arc::new(Mutex::new(sink))),
+            sink: Some(Arc::new(Mutex::new(Collector::new(cfg)))),
             core: 0,
-            interval_instructions: interval_instructions.max(1),
+            interval_instructions: cfg.interval_instructions.max(1),
         }
     }
 
@@ -546,10 +526,9 @@ impl TelemetryHandle {
         }
     }
 
-    /// Drain the sink's collected output (post-run; `None` when disabled
-    /// or when the sink streams).
+    /// Drain the collected output (post-run; `None` when disabled).
     pub fn take_output(&self) -> Option<TelemetryOutput> {
-        self.sink.as_ref().and_then(|s| s.lock().take_output())
+        self.sink.as_ref().map(|s| s.lock().take_output())
     }
 }
 

@@ -281,9 +281,10 @@ pub struct RunManifest {
 impl RunManifest {
     /// The resume identity of a record: a prior `ok` line is reused only
     /// if every field of this key still matches the submitted point. The
-    /// same key (via [`Runner::point_resume_key`]) addresses the simserve
-    /// daemon's warm result cache, so batch resume and daemon cache hits
-    /// share one identity definition.
+    /// only formatter of the key: [`Runner::point_resume_key`] calls it on
+    /// the manifest the point would write, and the simserve daemon keys
+    /// its warm result cache with that, so batch resume and daemon cache
+    /// hits cannot disagree on what "the same point" is.
     pub fn resume_key(&self) -> String {
         format!(
             "{}|{}|{}|{}|{}|{}|{}|{}",
@@ -396,8 +397,6 @@ pub enum Watchdog {
     /// IPC >= ~0.05 even when fully DRAM-bound, so the harness default of
     /// [`Watchdog::DEFAULT_CPI`] only fires on pathological configs.
     CyclesPerInstr(u64),
-    /// Absolute cycle ceiling per point.
-    MaxCycles(u64),
 }
 
 impl Watchdog {
@@ -409,7 +408,6 @@ impl Watchdog {
         match *self {
             Watchdog::Off => Budget::unlimited(),
             Watchdog::CyclesPerInstr(f) => Budget::cycles(f.saturating_mul(window_total).max(1)),
-            Watchdog::MaxCycles(c) => Budget::cycles(c.max(1)),
         }
     }
 
@@ -544,6 +542,26 @@ impl MatrixOptions {
 /// (matching the sharding, so results chunk evenly by `kinds.len()`).
 pub fn cross(workloads: &[Workload], kinds: &[SystemKind]) -> Vec<(Workload, SystemKind)> {
     workloads.iter().flat_map(|&w| kinds.iter().map(move |&k| (w, k))).collect()
+}
+
+/// Group `points` by workload, in first-appearance order: one shard per
+/// workload, so a shard's points share one trace recording. The batch
+/// executor runs each shard on one worker and evicts its trace when the
+/// shard is done; the simserve daemon queues shards round-robin across
+/// sweeps.
+pub fn shard_by_workload<P>(
+    points: impl IntoIterator<Item = P>,
+    workload: impl Fn(&P) -> Workload,
+) -> Vec<(Workload, Vec<P>)> {
+    let mut shards: Vec<(Workload, Vec<P>)> = Vec::new();
+    for p in points {
+        let w = workload(&p);
+        match shards.iter_mut().find(|(sw, _)| *sw == w) {
+            Some((_, shard)) => shard.push(p),
+            None => shards.push((w, vec![p])),
+        }
+    }
+    shards
 }
 
 /// FNV-1a, unlike `std`'s `DefaultHasher`, is stable across toolchains.
@@ -776,25 +794,13 @@ impl Runner {
         let store: Option<simstate::CheckpointStore> =
             opts.state_dir.as_ref().map(simstate::CheckpointStore::new);
 
-        // Group point indices by workload, preserving first-appearance
-        // order; one shard per workload keeps its trace alive exactly as
-        // long as needed. (BTreeMap so nothing downstream can ever observe
-        // hash-order — shard *scheduling* follows shard_order regardless.)
-        let mut shard_order: Vec<Workload> = Vec::new();
-        let mut shards: BTreeMap<Workload, Vec<usize>> = BTreeMap::new();
-        for (i, p) in points.iter().enumerate() {
-            shards
-                .entry(p.workload)
-                .or_insert_with(|| {
-                    shard_order.push(p.workload);
-                    Vec::new()
-                })
-                .push(i);
-        }
+        // One shard per workload keeps its trace alive exactly as long as
+        // needed.
+        let shards = shard_by_workload(points.iter().enumerate(), |(_, p)| p.workload);
 
         // Graphs stay resident until their last workload shard completes.
         let mut graph_pending: BTreeMap<GraphInput, usize> = BTreeMap::new();
-        for &w in &shard_order {
+        for (w, _) in &shards {
             *graph_pending.entry(w.graph).or_insert(0) += 1;
         }
         let graph_pending = Mutex::new(graph_pending);
@@ -815,13 +821,7 @@ impl Runner {
         let completed = AtomicUsize::new(0);
 
         rayon::scope(|s| {
-            for w in shard_order {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "invariant — shard_order and shards are built together above"
-                )]
-                let indices =
-                    shards.remove(&w).expect("invariant: every shard_order entry has a shard");
+            for (w, shard) in shards {
                 let (results, completed, graph_pending) = (&results, &completed, &graph_pending);
                 let (writer, manifest_error) = (&writer, &manifest_error);
                 let (abort, first_failure) = (&abort, &first_failure);
@@ -831,11 +831,10 @@ impl Runner {
                         return;
                     }
                     let trace = self.matrix_trace(w);
-                    for i in indices {
+                    for (i, point) in shard {
                         if abort.load(Ordering::Relaxed) {
                             return;
                         }
-                        let point = &points[i];
                         let rec = match self.resumed_record(point, i, &trace, resume_index) {
                             Some(rec) => rec,
                             None => self.run_matrix_point(point, i, &trace, opts, store),
@@ -967,7 +966,7 @@ impl Runner {
         if resume_index.is_empty() {
             return None;
         }
-        let key = self.point_resume_key(point, &point.system.config_hash(self), *tsum);
+        let key = self.point_resume_key(point, *tsum);
         let mut manifest = resume_index.get(&key)?.clone();
         manifest.index = index;
         Some(RunRecord {
@@ -1086,33 +1085,21 @@ impl Runner {
         };
         let wall_seconds = started.elapsed().as_secs_f64();
 
-        let label = point.system.label();
         let manifest = RunManifest {
             index,
-            workload: w.name(),
-            kernel: w.kernel.to_string(),
-            graph: w.graph.name().to_string(),
-            system: label.clone(),
-            config_hash: format!("{config_hash:016x}"),
             status: status.as_str().to_string(),
             error: status.error_string(),
-            scale: format!("{:?}", self.scale),
-            warmup: self.window.warmup,
-            measure: self.window.measure,
-            skip: self.skip,
             trace_len,
-            trace_checksum: trace
-                .as_ref()
-                .map_or_else(|_| String::new(), |(_, tsum)| format!("{tsum:016x}")),
             wall_seconds: if opts.walltime { wall_seconds } else { 0.0 },
             instructions: result.instructions,
             cycles: result.cycles,
             ipc: result.ipc(),
+            ..self.point_identity(point, config_hash, trace.as_ref().ok().map(|(_, tsum)| *tsum))
         };
         RunRecord {
             workload: w,
             kind: point.system.kind(),
-            label,
+            label: manifest.system.clone(),
             status,
             result,
             manifest,
@@ -1120,27 +1107,38 @@ impl Runner {
         }
     }
 
-    /// The resume identity of a submitted point (mirrors
-    /// [`RunManifest::resume_key`]). `config_hash` is the hex hash from
-    /// [`SystemSpec::config_hash`]; `trace_checksum` is the FNV-1a sum of
-    /// the recorded trace. The simserve daemon keys its warm result cache
-    /// with exactly this string.
-    pub fn point_resume_key(
+    /// The manifest fields a point's identity fixes before it runs: names,
+    /// `config_hash`, scale, window, skip and trace checksum (empty when
+    /// recording failed). Every other field is zero.
+    fn point_identity(
         &self,
         p: &MatrixPoint,
-        config_hash: &str,
-        trace_checksum: u64,
-    ) -> String {
-        format!(
-            "{}|{}|{}|{:?}|{}|{}|{}|{trace_checksum:016x}",
-            p.workload.name(),
-            p.system.label(),
-            config_hash,
-            self.scale,
-            self.window.warmup,
-            self.window.measure,
-            self.skip
-        )
+        config_hash: u64,
+        trace_checksum: Option<u64>,
+    ) -> RunManifest {
+        let w = p.workload;
+        RunManifest {
+            workload: w.name(),
+            kernel: w.kernel.to_string(),
+            graph: w.graph.name().to_string(),
+            system: p.system.label(),
+            config_hash: format!("{config_hash:016x}"),
+            scale: format!("{:?}", self.scale),
+            warmup: self.window.warmup,
+            measure: self.window.measure,
+            skip: self.skip,
+            trace_checksum: trace_checksum.map_or_else(String::new, |t| format!("{t:016x}")),
+            ..RunManifest::default()
+        }
+    }
+
+    /// The resume identity of a submitted point: the
+    /// [`RunManifest::resume_key`] of the manifest it would write, given the
+    /// FNV-1a sum of its recorded trace. The simserve daemon keys its warm
+    /// result cache with exactly this string.
+    pub fn point_resume_key(&self, p: &MatrixPoint, trace_checksum: u64) -> String {
+        let config_hash = hash_config_u64(&p.system.config_repr(self));
+        self.point_identity(p, config_hash, Some(trace_checksum)).resume_key()
     }
 }
 
@@ -1469,13 +1467,15 @@ mod tests {
     fn watchdog_times_out_runaway_points() {
         let r = tiny_runner();
         let w = Workload::new(Kernel::Pr, GraphInput::Kron);
-        // A ceiling far below any real run: everything times out.
-        let opts = MatrixOptions { watchdog: Watchdog::MaxCycles(1_000), ..MatrixOptions::quiet() };
+        // A zero factor clamps to a one-cycle ceiling, far below any real
+        // run: everything times out.
+        let opts =
+            MatrixOptions { watchdog: Watchdog::CyclesPerInstr(0), ..MatrixOptions::quiet() };
         let recs = r.run_matrix_with(&[(w, SystemKind::Baseline)], &opts).expect("sweep runs");
         match &recs[0].status {
             PointStatus::TimedOut { cycles, limit } => {
-                assert_eq!(*limit, 1_000);
-                assert!(*cycles >= 1_000, "cycles: {cycles}");
+                assert_eq!(*limit, 1);
+                assert!(*cycles >= 1, "cycles: {cycles}");
             }
             other => panic!("expected TimedOut, got {other:?}"),
         }

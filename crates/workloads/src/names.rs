@@ -1,7 +1,7 @@
 //! Human-friendly name lookup for workloads, systems, and scales.
 //!
-//! Every user-facing entry point — the `timeline` viewer, `simctl`
-//! submissions, the `figure dram_sweep` row — accepts loosely-typed names
+//! Every user-facing entry point — `simctl` submissions, the `figure
+//! timeline` and `figure dram_sweep` rows — accepts loosely-typed names
 //! (`sdc_lp`, `SDC+LP`, `sdclp`) and needs one canonical resolution so a
 //! name submitted to the daemon means the same point as the one typed at
 //! a batch binary.

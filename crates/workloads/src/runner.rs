@@ -18,12 +18,13 @@ use std::sync::{Arc, LazyLock, OnceLock, Weak};
 
 /// A single-flight cell: its value is built once, outside any map lock,
 /// while racing callers for the same key wait on the cell. A build that
-/// panics leaves the cell empty, so the next caller retries.
-type Cell<V> = Arc<OnceLock<V>>;
+/// panics leaves the cell empty, so the next caller retries. Graphs,
+/// traces and the simserve daemon's results all live in these cells.
+pub type Cell<V> = Arc<OnceLock<V>>;
 
-/// The cells one [`Runner`] holds, by key. Holding a cell keeps its value
-/// resident.
-type Cells<K, V> = Mutex<BTreeMap<K, Cell<V>>>;
+/// Cells by key (one [`Runner`]'s, or the daemon's results). Holding a
+/// cell keeps its value resident.
+pub type Cells<K, V> = Mutex<BTreeMap<K, Cell<V>>>;
 
 /// The cells published for the whole process, by key. Weak: a value lives
 /// as long as some runner holds its cell, not longer.

@@ -15,9 +15,7 @@ fn main() {
     // Full scale is the regime the paper's mechanism needs (per-core
     // property arrays far exceeding the shared LLC). Graphs are cached on
     // disk after the first run (~minutes to generate, seconds to reload).
-    if std::env::var_os("GRAPH_CACHE_DIR").is_none() {
-        std::env::set_var("GRAPH_CACHE_DIR", "target/graph-cache");
-    }
+    gpbench::use_graph_cache();
     let runner = Runner::new(SuiteScale::Full, Window::new(500_000, 2_000_000));
     let mc = MulticoreRunner::new(&runner);
 

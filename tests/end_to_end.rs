@@ -43,9 +43,7 @@ fn sdclp_beats_baseline_on_an_irregular_workload() {
     // 1.375 MiB). Short window to keep the test affordable; reuse (or
     // create) the harness's on-disk graph cache so the 2^22-vertex build
     // cost is paid once per machine, not per test run.
-    if std::env::var_os("GRAPH_CACHE_DIR").is_none() {
-        std::env::set_var("GRAPH_CACHE_DIR", "target/graph-cache");
-    }
+    gpbench::use_graph_cache();
     let runner = Runner::new(SuiteScale::Full, Window::new(200_000, 800_000));
     let w = Workload::new(Kernel::Cc, GraphInput::Urand);
     let base = runner.run_one(w, SystemKind::Baseline);
@@ -99,9 +97,7 @@ fn stride_profile_shows_dram_correlation_on_irregular_workload() {
     // Finding 3 at integration level: on a Medium irregular workload, the
     // large-stride buckets must have a much higher DRAM probability than
     // the small-stride ones.
-    if std::env::var_os("GRAPH_CACHE_DIR").is_none() {
-        std::env::set_var("GRAPH_CACHE_DIR", "target/graph-cache");
-    }
+    gpbench::use_graph_cache();
     let runner = Runner::new(SuiteScale::Medium, Window::new(100_000, 400_000));
     let w = Workload::new(Kernel::Cc, GraphInput::Friendster);
     let (_, profile) = runner.run_with_stride_profile(w, SystemKind::Baseline);
